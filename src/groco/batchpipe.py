@@ -1,9 +1,10 @@
-"""Per-anchor distance groups from a batch of projected views.
+"""Distance groups of every anchor in a batch of projected views.
 
 Every view in a batch serves once as the anchor: its positives are the other
 views of the same image, its negatives the views of all other images. Both
 groups are hard index selections (top-N strongest negatives, ascending
-pre-ordering), so gradients route only through the selected entries. With
+pre-ordering), made for all anchors at once as one row per anchor, so
+gradients route only through the selected entries. With
 stop-gradient on (the default), distances are computed against detached
 non-anchor projections and the loss gradient reaches only each anchor's own
 projection.
@@ -105,14 +106,14 @@ def cosine_distance(x, y) -> float:
 
 def select_top_negatives(d_all, num_negatives: int) -> np.ndarray:
     """Indices of the min(num_negatives, len) smallest distances (the
-    strongest negatives), ascending, ties broken by lower original index."""
+    strongest negatives), ascending, ties broken by lower original index.
+    A 2-D input is one distance list per row and gives one index row each."""
     d = np.asarray(d_all, dtype=np.float64)
-    if d.ndim != 1 or d.size < 1:
-        raise ValueError(f"expected a non-empty 1-D distance list, got shape {d.shape}")
+    if d.ndim not in (1, 2) or d.size < 1:
+        raise ValueError(f"expected a non-empty 1-D distance list or 2-D rows of them, got shape {d.shape}")
     if num_negatives < 1:
         raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
-    order = np.lexsort((np.arange(d.size), d))
-    return order[: min(num_negatives, d.size)]
+    return np.argsort(d, axis=-1, kind="stable")[..., :num_negatives]
 
 
 def _normalized_rows(projections):
@@ -132,46 +133,34 @@ def _distance_matrix(batch: ViewBatch, use_stop_grad: bool):
     return dg.scale(dg.matmul(xn, dg.transpose(others)), -1.0)
 
 
-def _stable_ascending(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    return indices[np.lexsort((indices, values))]
+def _ascending(raw: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each row of `cols` reordered by ascending distance; equal distances
+    keep their order in `cols`, which arrives ascending by column on ties."""
+    order = np.argsort(np.take_along_axis(raw, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
-def _group_from_row(
-    batch: ViewBatch,
-    distances,
-    anchor_index: int,
-    num_negatives: int,
-    random_negatives: bool,
-    preorder: bool,
-    rng,
-) -> AnchorGroup:
-    ids = batch.image_id
+def _select_groups(
+    batch: ViewBatch, distances, num_negatives: int, random_negatives: bool, preorder: bool, rng
+):
+    """Columns of every anchor's positives (A, m - 1) and negatives (A, N)
+    in the distance matrix, one row per anchor."""
     raw = distances.data if isinstance(distances, Tensor) else distances
-    row = raw[anchor_index]
-
-    pos_idx = np.flatnonzero(ids == ids[anchor_index])
-    pos_idx = pos_idx[pos_idx != anchor_index]
-    neg_base = np.flatnonzero(ids != ids[anchor_index])
-
+    ids = batch.image_id
+    same = ids[:, None] == ids[None, :]
+    pos = np.nonzero(same & ~np.eye(ids.size, dtype=bool))[1].reshape(ids.size, -1)
+    neg = np.nonzero(~same)[1].reshape(ids.size, -1)
     if random_negatives:
         if rng is None:
             raise ValueError("random_negatives requires a seeded rng")
-        take = min(num_negatives, neg_base.size)
-        neg_idx = neg_base[np.sort(rng.choice(neg_base.size, size=take, replace=False))]
+        picks = np.argsort(rng.random(neg.shape), axis=1)[:, :num_negatives]
+        neg = np.take_along_axis(neg, np.sort(picks, axis=1), axis=1)
     else:
-        neg_idx = neg_base[select_top_negatives(row[neg_base], num_negatives)]
-
+        strongest = select_top_negatives(np.take_along_axis(raw, neg, axis=1), num_negatives)
+        neg = np.take_along_axis(neg, strongest, axis=1)
     if preorder:
-        pos_idx = _stable_ascending(row[pos_idx], pos_idx)
-        neg_idx = _stable_ascending(row[neg_idx], neg_idx)
-    else:
-        pos_idx = np.sort(pos_idx)  # keep batch order
-        neg_idx = np.sort(neg_idx)
-
-    n_cols = batch.num_views
-    d_pos = dg.index_select(distances, anchor_index * n_cols + pos_idx)
-    d_neg = dg.index_select(distances, anchor_index * n_cols + neg_idx)
-    return AnchorGroup(anchor_index, d_pos, d_neg, pos_idx, neg_idx)
+        return _ascending(raw, pos), _ascending(raw, neg)
+    return pos, np.sort(neg, axis=1)  # keep batch order
 
 
 def build_anchor_group(
@@ -184,25 +173,19 @@ def build_anchor_group(
     preorder: bool = True,
     rng=None,
 ) -> AnchorGroup:
-    """Assemble one anchor's positive and negative distance groups."""
+    """Assemble one anchor's positive and negative distance groups: row
+    `anchor_index` of the selection `batch_loss` makes for every anchor."""
     if not (0 <= anchor_index < batch.num_views):
         raise ValueError(f"anchor_index out of range: {anchor_index}")
     if num_negatives < 1:
         raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
     d = _distance_matrix(batch, stop_grad)
-    return _group_from_row(batch, d, anchor_index, num_negatives, random_negatives, preorder, rng)
-
-
-def _anchor_loss(group: AnchorGroup, loss_kind: str, params, preorder: bool):
-    if loss_kind == "groco":
-        if preorder:
-            return losses.groco_loss(group.d_pos, group.d_neg, params)
-        d = dg.concat([group.d_pos, group.d_neg])
-        pos_count = group.pos_indices.size
-        return losses.group_loss_from_concat(d, pos_count, params.beta)
-    if loss_kind == "infonce":
-        return losses.infonce_loss(group.d_pos, group.d_neg, params)
-    return losses.triplet_loss(group.d_pos, group.d_neg, params)
+    pos, neg = _select_groups(batch, d, num_negatives, random_negatives, preorder, rng)
+    row_start = anchor_index * batch.num_views
+    pos, neg = pos[anchor_index], neg[anchor_index]
+    return AnchorGroup(
+        anchor_index, dg.index_select(d, row_start + pos), dg.index_select(d, row_start + neg), pos, neg
+    )
 
 
 def batch_loss(
@@ -217,7 +200,7 @@ def batch_loss(
     infonce_top_n: bool = False,
     rng=None,
 ):
-    """Average per-anchor loss with every view serving as the anchor once.
+    """Mean per-anchor loss with every view serving as the anchor once.
 
     The negative group size comes from `params.num_negatives` for the
     group-ordering loss and from `num_negatives` otherwise; the contrastive
@@ -245,14 +228,13 @@ def batch_loss(
         effective_n = num_negatives or 10
 
     d = _distance_matrix(batch, stop_grad)
-    per_anchor = [
-        _anchor_loss(
-            _group_from_row(batch, d, a, effective_n, random_negatives, preorder, rng),
-            loss_kind,
-            params,
-            preorder,
-        )
-        for a in range(batch.num_views)
-    ]
-    total = dg.scale(dg.sum(dg.concat(per_anchor)), 1.0 / len(per_anchor))
-    return total if isinstance(total, Tensor) else float(total)
+    pos, neg = _select_groups(batch, d, effective_n, random_negatives, preorder, rng)
+    row_start = batch.num_views * np.arange(batch.num_views)[:, None]
+    d_pos, d_neg = dg.index_select(d, row_start + pos), dg.index_select(d, row_start + neg)
+    if loss_kind == "groco":
+        if preorder:
+            return losses.groco_loss(d_pos, d_neg, params)
+        return losses.group_loss_from_concat(dg.concat([d_pos, d_neg]), pos.shape[1], params.beta)
+    if loss_kind == "infonce":
+        return losses.infonce_loss(d_pos, d_neg, params)
+    return losses.triplet_loss(d_pos, d_neg, params)

@@ -75,7 +75,6 @@ def _load_training_data(args) -> Dataset:
             per_cluster=args.per_cluster,
             center_scale=args.center_scale,
             inst_noise=args.inst_noise,
-            view_noise=args.view_noise,
             seed=args.seed,
         )
         return dataio.synth_generate(cfg)
@@ -268,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="run seed (default: GROCO_SEED env or 0)")
     p.add_argument("--ckpt", default="groco_model.ckpt", help="checkpoint output path")
     p.add_argument("--metrics", default="groco_metrics.csv", help="per-step metrics CSV path")
-    p.add_argument("--threads", type=int, default=1,
-                   help="anchor-parallelism hint; execution is currently always sequential")
     p.add_argument("--dump-config", action="store_true", help="print the resolved config as key=value lines")
     p.set_defaults(func=cmd_train)
 

@@ -61,24 +61,21 @@ class Dataset:
 @dataclass(frozen=True)
 class SynthConfig:
     """Gaussian cluster generator: seeded centers scaled by `center_scale`,
-    instances jittered by `inst_noise`.
-
-    `view_noise` is validated but read by neither `synth_generate` nor the
-    trainer; the noise of training views is `TrainConfig.view_noise`."""
+    instances jittered by `inst_noise`. The noise of training views is
+    `TrainConfig.view_noise`."""
 
     clusters: int = 8
     dim: int = 32
     per_cluster: int = 200
     center_scale: float = 4.0
     inst_noise: float = 0.5
-    view_noise: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if self.clusters < 1 or self.dim < 1 or self.per_cluster < 1:
             raise ValueError("clusters, dim, per_cluster must be positive")
-        if self.center_scale <= 0 or self.inst_noise < 0 or self.view_noise < 0:
-            raise ValueError("center_scale must be positive; noise levels non-negative")
+        if self.center_scale <= 0 or self.inst_noise < 0:
+            raise ValueError("center_scale must be positive; inst_noise non-negative")
 
 
 def synth_generate(config: SynthConfig) -> Dataset:

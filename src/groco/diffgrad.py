@@ -1,7 +1,7 @@
 """Reverse-mode differentiation on a flat tape of numpy-backed tensors.
 
 The op set is deliberately small: just enough to push gradients through
-cosine distances, the relaxed sorting network, and a small MLP. Every op
+cosine distances, the losses, and a small MLP. Every op
 function here dispatches on its arguments: given plain numpy arrays (or
 floats) it computes the forward value directly, given a `Tensor` it records
 a node on the owning `Tape`. Algorithm code elsewhere in the package is
@@ -10,7 +10,9 @@ therefore written once and runs in both "plain" and "recorded" mode.
 Gradients come from `backward(tape, loss)`, which replays the tape in
 reverse, applying one vector-Jacobian product rule per node. The rules live
 in the module-level `VJP_RULES` table so tests can install a corrupted rule
-as a negative control.
+as a negative control. An op whose forward lives in another module of the
+package (the relaxed sorting network in `sortcore`) records itself with
+`Tape._append` and adds its rule to this table beside its forward.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ __all__ = [
     "Tape",
     "GradientMap",
     "GradCheckReport",
-    "OP_KINDS",
     "VJP_RULES",
-    "record",
     "backward",
     "grad_check",
     "add",
@@ -39,7 +39,6 @@ __all__ = [
     "arctan",
     "log",
     "exp",
-    "dot",
     "l2norm",
     "clamp",
     "scale",
@@ -53,28 +52,6 @@ __all__ = [
 class NumericError(ArithmeticError):
     """Raised when an operation hits an invalid numeric domain (division by
     zero, non-positive log input, zero-norm vector, non-finite evaluation)."""
-
-
-OP_KINDS = frozenset(
-    {
-        "add",
-        "sub",
-        "mul",
-        "div",
-        "matmul",
-        "arctan",
-        "log",
-        "exp",
-        "sum",
-        "dot",
-        "l2norm",
-        "clamp",
-        "scale",
-        "concat",
-        "index_select",
-        "stop_grad",
-    }
-)
 
 
 def _as_array(x) -> np.ndarray:
@@ -309,19 +286,6 @@ def sum(x):  # noqa: A001 - mirrors the op name; full reduction to a scalar
     return x.tape._append("sum", (x,), np.sum(x.data))
 
 
-def dot(a, b):
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        a, b = _as_array(a), _as_array(b)
-        if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-            raise ValueError(f"dot expects equal-length vectors, got {a.shape}, {b.shape}")
-        return np.dot(a, b)
-    tape = _find_tape(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"dot expects equal-length vectors, got {a.shape}, {b.shape}")
-    return tape._append("dot", (a, b), np.dot(a.data, b.data))
-
-
 def _l2norm_forward(x: np.ndarray, axis, keepdims) -> np.ndarray:
     return np.sqrt(np.sum(np.square(x), axis=axis, keepdims=keepdims))
 
@@ -351,15 +315,16 @@ def scale(x, factor):
 
 
 def concat(parts):
-    """Concatenate flattened parts into one 1-D array."""
+    """Join parts along their last axis; a 1-D part is one row, and 2-D
+    parts must have the same number of rows."""
     parts = list(parts)
     if not parts:
         raise ValueError("concat of zero parts")
     tape = _find_tape(*parts)
     if tape is None:
-        return np.concatenate([np.ravel(_as_array(p)) for p in parts])
+        return np.concatenate([np.atleast_1d(_as_array(p)) for p in parts], axis=-1)
     parts = [_lift(tape, p) for p in parts]
-    out = np.concatenate([p.data.ravel() for p in parts])
+    out = np.concatenate([np.atleast_1d(p.data) for p in parts], axis=-1)
     return tape._append("concat", tuple(parts), out)
 
 
@@ -407,37 +372,6 @@ def transpose(x):
         idx = np.arange(m * n, dtype=np.intp).reshape(m, n).T.copy()
         _TRANSPOSE_IDX[key] = idx
     return index_select(x, idx, assume_unique=True)
-
-
-_OP_FUNCS = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "matmul": matmul,
-    "arctan": arctan,
-    "log": log,
-    "exp": exp,
-    "sum": sum,
-    "dot": dot,
-    "l2norm": l2norm,
-    "clamp": clamp,
-    "scale": scale,
-    "concat": concat,
-    "index_select": index_select,
-    "stop_grad": stop_grad,
-}
-
-
-def record(op_kind: str, *inputs, **attrs):
-    """Record one named operation. `inputs` must contain at least one Tensor
-    (plain values are lifted to constants on that Tensor's tape)."""
-    if op_kind not in OP_KINDS:
-        raise ValueError(f"unknown op_kind {op_kind!r}")
-    fn = _OP_FUNCS[op_kind]
-    if op_kind == "concat":
-        return fn(list(inputs), **attrs)
-    return fn(*inputs, **attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +428,6 @@ def _vjp_sum(node, g):
     return (np.full(node.inputs[0].shape, float(g)),)
 
 
-def _vjp_dot(node, g):
-    a, b = node.inputs
-    return (g * b.data, g * a.data)
-
-
 def _vjp_l2norm(node, g):
     x = node.inputs[0].data
     out = node.output.data
@@ -528,8 +457,9 @@ def _vjp_concat(node, g):
     outs = []
     offset = 0
     for p in node.inputs:
-        outs.append(g[offset : offset + p.size].reshape(p.shape))
-        offset += p.size
+        width = p.shape[-1] if p.ndim else 1
+        outs.append(g[..., offset : offset + width].reshape(p.shape))
+        offset += width
     return tuple(outs)
 
 
@@ -558,7 +488,6 @@ VJP_RULES = {
     "log": _vjp_log,
     "exp": _vjp_exp,
     "sum": _vjp_sum,
-    "dot": _vjp_dot,
     "l2norm": _vjp_l2norm,
     "clamp": _vjp_clamp,
     "scale": _vjp_scale,
@@ -586,7 +515,8 @@ def backward(tape: Tape, loss: Tensor) -> GradientMap:
     """Reverse pass over the tape seeding d(loss)/d(loss) = 1.
 
     Accumulation follows node order, so results are deterministic and
-    bitwise reproducible for an identical tape. One backward per recording.
+    bitwise reproducible for an identical tape. One backward per recording:
+    it consumes the tape's nodes.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
         raise ValueError("loss is not a tensor on this tape")
@@ -597,7 +527,10 @@ def backward(tape: Tape, loss: Tensor) -> GradientMap:
     tape._backward_done = True
 
     grads: dict[int, np.ndarray] = {loss.tid: np.ones((), dtype=np.float64)}
-    for node in reversed(tape.nodes):
+    while tape.nodes:
+        # Popping releases each node once its rule has run, and leaves no
+        # tape -> node -> tensor -> tape cycle to wait for the garbage collector.
+        node = tape.nodes.pop()
         g = grads.get(node.output.tid)
         if g is None:
             continue

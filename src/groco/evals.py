@@ -48,13 +48,8 @@ def _unit_rows(x, what: str) -> np.ndarray:
     return arr / norms
 
 
-def knn_predict(train_embeds, train_labels, query, k: int, weight_tau: float = KNN_WEIGHT_TAU) -> int:
-    """Weighted k-nearest-neighbor vote under cosine distance.
-
-    Each of the k nearest training points votes exp(similarity / weight_tau)
-    for its class; neighbor ties break toward the lower index and class-score
-    ties toward the smaller class id.
-    """
+def _knn_predictions(train_embeds, train_labels, queries, k: int, weight_tau: float) -> np.ndarray:
+    """Predicted class of each query row; see `knn_predict` for the rules."""
     train_labels = np.asarray(train_labels)
     train = _unit_rows(train_embeds, "train_embeds")
     if train_labels.shape != (train.shape[0],):
@@ -63,15 +58,26 @@ def knn_predict(train_embeds, train_labels, query, k: int, weight_tau: float = K
         raise ValueError("empty train set")
     if not (1 <= k <= train.shape[0]):
         raise ValueError(f"k must be in 1..{train.shape[0]}, got {k}")
-    q = _unit_rows(query, "query")[0]
-    sims = train @ q
-    nearest = np.lexsort((np.arange(sims.size), -sims))[:k]
-    classes = np.unique(train_labels)
-    scores = np.zeros(classes.size)
-    weights = np.exp(sims[nearest] / weight_tau)
-    for idx, w in zip(nearest, weights):
-        scores[np.searchsorted(classes, train_labels[idx])] += w
-    return int(classes[int(np.argmax(scores))])
+    sims = _unit_rows(queries, "query") @ train.T
+    nearest = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    classes, label_index = np.unique(train_labels, return_inverse=True)
+    votes = label_index[nearest]
+    weights = np.exp(np.take_along_axis(sims, nearest, axis=1) / weight_tau)
+    scores = np.zeros((sims.shape[0], classes.size))
+    rows = np.arange(sims.shape[0])
+    for j in range(k):  # add the votes in neighbour order
+        scores[rows, votes[:, j]] += weights[:, j]
+    return classes[np.argmax(scores, axis=1)]
+
+
+def knn_predict(train_embeds, train_labels, query, k: int, weight_tau: float = KNN_WEIGHT_TAU) -> int:
+    """Weighted k-nearest-neighbor vote under cosine distance.
+
+    Each of the k nearest training points votes exp(similarity / weight_tau)
+    for its class; neighbor ties break toward the lower index and class-score
+    ties toward the smaller class id.
+    """
+    return int(_knn_predictions(train_embeds, train_labels, query, k, weight_tau)[0])
 
 
 def knn_accuracy(
@@ -87,11 +93,8 @@ def knn_accuracy(
     test = np.asarray(test_embeds, dtype=np.float64)
     if test.ndim != 2 or test_labels.shape != (test.shape[0],):
         raise ValueError("test embeddings/labels mismatch")
-    correct = 0
-    for i in range(test.shape[0]):
-        if knn_predict(train_embeds, train_labels, test[i], k, weight_tau) == int(test_labels[i]):
-            correct += 1
-    return correct / test.shape[0]
+    predicted = _knn_predictions(train_embeds, train_labels, test, k, weight_tau)
+    return float(np.mean(predicted == test_labels))
 
 
 def linear_probe(

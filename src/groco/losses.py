@@ -1,8 +1,10 @@
 """Group-ordering, sorting-supervision, InfoNCE, and triplet losses.
 
-Each loss takes per-anchor positive and negative distance groups. Inputs may
-be plain arrays (the result is a float) or `diffgrad.Tensor`s (the result is
-a scalar tensor recorded on the input tape, so gradients flow back to every
+Each loss takes positive and negative distance groups: one anchor's groups
+as 1-D arrays, or one row per anchor as (A, k) and (A, m) arrays, in which
+case the result is the mean of the per-anchor losses. Inputs may be plain
+arrays (the result is a float) or `diffgrad.Tensor`s (the result is a
+scalar tensor recorded on the input tape, so gradients flow back to every
 distance).
 """
 
@@ -45,11 +47,23 @@ def _raw(x) -> np.ndarray:
 
 def _check_group(name: str, x) -> np.ndarray:
     arr = _raw(x)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"{name} must be a non-empty 1-D group, got shape {arr.shape}")
+    if arr.ndim not in (1, 2) or arr.size < 1:
+        raise ValueError(f"{name} must be a non-empty 1-D group or (A, k) groups, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
+
+
+def _check_pair(d_pos, d_neg) -> tuple[np.ndarray, np.ndarray]:
+    pos = _check_group("d_pos", d_pos)
+    neg = _check_group("d_neg", d_neg)
+    if pos.shape[:-1] != neg.shape[:-1]:
+        raise ValueError(f"d_pos {pos.shape} and d_neg {neg.shape} must have the same rows")
+    return pos, neg
+
+
+def _result(x):
+    return x if isinstance(x, Tensor) else float(x)
 
 
 @dataclass(frozen=True)
@@ -112,28 +126,40 @@ def _bce_mean(p, targets: np.ndarray, denom: float):
     return dg.scale(dg.sum(ll), -1.0 / denom)
 
 
+def _group_loss(d, num_positives: int, beta: float):
+    """Mean group-ordering loss over the rows of `d`, (n,) or (A, n), whose
+    first `num_positives` entries are the positive group."""
+    shape = _raw(d).shape
+    n, rows = shape[-1], int(np.prod(shape[:-1]))
+    perm = sortcore.sort_matrix(d, beta)
+    # Column i of every P becomes a row; times `blocks` it gives the mass of
+    # input i sorted into positive places (< k) and into negative places.
+    columns = np.arange(rows * n * n).reshape(rows, n, n).transpose(0, 2, 1).reshape(rows * n, n)
+    blocks = np.zeros((n, 2), dtype=np.float64)
+    blocks[:num_positives, 0] = 1.0
+    blocks[num_positives:, 1] = 1.0
+    masses = dg.matmul(dg.index_select(perm, columns, assume_unique=True), blocks)
+    # an input's target is its own group: the same indicator as `blocks`
+    return _bce_mean(masses, np.tile(blocks, (rows, 1)), 2.0 * n * rows)
+
+
+def _check_split(arr: np.ndarray, num_positives: int) -> int:
+    k = int(num_positives)
+    if not (1 <= k < arr.shape[-1]):
+        raise ValueError(f"need 1 <= num_positives < {arr.shape[-1]}, got {k}")
+    return k
+
+
 def group_loss_from_concat(d, num_positives: int, beta: float):
-    """Group-ordering loss over an already concatenated distance list whose
+    """Group-ordering loss over already concatenated distance lists whose
     first `num_positives` entries are the positive group.
 
     No ordering validation happens here; this is the entry point for the
     ablation that feeds unordered groups to the sorting network.
     """
     arr = _check_group("distances", d)
-    n = arr.size
-    k = int(num_positives)
-    if not (1 <= k < n):
-        raise ValueError(f"need 1 <= num_positives < {n}, got {k}")
-    _, perm = sortcore._diff_sort_core(d, n, beta)
-
-    selector = np.zeros((2, n), dtype=np.float64)
-    selector[0, :k] = 1.0  # sums rows 1..k: mass sorted into positive places
-    selector[1, k:] = 1.0  # sums rows k+1..n: mass sorted into negative places
-    masses = dg.matmul(selector, perm)
-    targets = np.zeros((2, n), dtype=np.float64)
-    targets[0, :k] = 1.0
-    targets[1, k:] = 1.0
-    return _bce_mean(masses, targets, 2.0 * n)
+    k = _check_split(arr, num_positives)
+    return _result(_group_loss(d if isinstance(d, Tensor) else arr, k, beta))
 
 
 def groco_loss(d_pos, d_neg, params: GroCoParams):
@@ -145,36 +171,31 @@ def groco_loss(d_pos, d_neg, params: GroCoParams):
     gradient routing it implies), so unsorted input is rejected rather than
     silently fixed.
     """
-    pos = _check_group("d_pos", d_pos)
-    neg = _check_group("d_neg", d_neg)
-    if np.any(np.diff(pos) < 0):
+    pos, neg = _check_pair(d_pos, d_neg)
+    if np.any(np.diff(pos, axis=-1) < 0):
         raise ValueError("d_pos must be non-descending (pre-ordered)")
-    if np.any(np.diff(neg) < 0):
+    if np.any(np.diff(neg, axis=-1) < 0):
         raise ValueError("d_neg must be non-descending (pre-ordered)")
-    d = dg.concat([d_pos, d_neg])
-    result = group_loss_from_concat(d, pos.size, params.beta)
-    return result if isinstance(result, Tensor) else float(result)
+    return _result(_group_loss(dg.concat([d_pos, d_neg]), pos.shape[-1], params.beta))
 
 
 def groco_from_raw_distances(d, num_positives: int, beta: float):
-    """Full loss path from an unordered distance vector: split the first
-    `num_positives` entries off as the positive group, hard pre-order each
-    group ascending, and apply the group-ordering loss.
+    """Full loss path from unordered distance lists: split the first
+    `num_positives` entries of each off as the positive group, hard pre-order
+    each group ascending, and apply the group-ordering loss.
 
     This is the function the gradient checker probes; the pre-ordering is an
     index selection recomputed from the current values, so it is smooth away
     from ties.
     """
     raw = _check_group("distances", d)
-    k = int(num_positives)
-    if not (1 <= k < raw.size):
-        raise ValueError(f"need 1 <= num_positives < {raw.size}, got {k}")
-    pos_order = np.argsort(raw[:k], kind="stable").astype(np.intp)
-    neg_order = np.argsort(raw[k:], kind="stable").astype(np.intp)
-    d_pos = dg.index_select(d, pos_order)
-    d_neg = dg.index_select(d, k + neg_order)
-    params = GroCoParams(beta=beta, num_positives=k, num_negatives=raw.size - k)
-    return groco_loss(d_pos, d_neg, params)
+    k = _check_split(raw, num_positives)
+    pos_order = np.argsort(raw[..., :k], axis=-1, kind="stable")
+    neg_order = k + np.argsort(raw[..., k:], axis=-1, kind="stable")
+    order = np.concatenate([pos_order, neg_order], axis=-1)
+    n = raw.shape[-1]
+    row_start = n * np.arange(raw.size // n).reshape(raw.shape[:-1] + (1,))
+    return _result(_group_loss(dg.index_select(d, row_start + order), k, beta))
 
 
 def groco_closed_form_1v1(d_p: float, d_n: float, beta: float) -> float:
@@ -206,39 +227,32 @@ def sorting_supervision_loss(p, q):
     if p_raw.shape != q.shape:
         raise ValueError(f"shape mismatch: P {p_raw.shape} vs Q {q.shape}")
     n = q.shape[0]
-    result = _bce_mean(p, q, float(n * n))
-    return result if isinstance(result, Tensor) else float(result)
+    return _result(_bce_mean(p, q, float(n * n)))
 
 
 def infonce_loss(d_pos, d_neg, params: InfoNCEParams):
-    """Contrastive loss: each positive is contrasted against all negatives,
-    averaged over positives. Logits are max-shifted before exponentiation."""
-    pos = _check_group("d_pos", d_pos)
-    neg = _check_group("d_neg", d_neg)
-    k, m = pos.size, neg.size
+    """Contrastive loss: each positive is contrasted against all negatives of
+    its row, averaged over positives. Logits are shifted by their maximum
+    before exponentiation."""
+    pos, neg = _check_pair(d_pos, d_neg)
     inv_tau = -1.0 / params.tau
     zp = dg.scale(d_pos, inv_tau)
     zn = dg.scale(d_neg, inv_tau)
-    shift = np.maximum(pos * inv_tau, np.max(neg * inv_tau))  # (k,) constants
-    en = dg.exp(zn - shift[:, None])  # (k, m)
-    neg_mass = dg.matmul(en, np.ones(m))  # (k,)
-    ep = dg.exp(zp - shift)
-    lse = dg.log(ep + neg_mass) + shift
-    result = dg.scale(dg.sum(lse - zp), 1.0 / k)
-    return result if isinstance(result, Tensor) else float(result)
+    top = np.max(neg * inv_tau, axis=-1, keepdims=True)  # per row, constant
+    shift = np.maximum(pos * inv_tau, top)  # per positive, constant
+    neg_sum = dg.matmul(dg.exp(zn - top), np.ones((neg.shape[-1], 1)))  # per row, >= 1
+    lse = dg.log(dg.exp(zp - shift) + neg_sum * np.exp(top - shift)) + shift
+    return _result(dg.scale(dg.sum(lse - zp), 1.0 / pos.size))
 
 
 def triplet_loss(d_pos, d_neg, params: TripletParams):
-    """Mean hinge over all positive/negative pairs; in unbounded mode the raw
-    differences are averaged without clipping."""
-    pos = _check_group("d_pos", d_pos)
-    neg = _check_group("d_neg", d_neg)
-    k, m = pos.size, neg.size
-    rep = np.repeat(np.arange(k, dtype=np.intp), m)
-    tile = np.tile(np.arange(m, dtype=np.intp), k)
+    """Mean hinge over all positive/negative pairs of each row; in unbounded
+    mode the raw differences are averaged without clipping."""
+    pos, neg = _check_pair(d_pos, d_neg)
+    k, m = pos.shape[-1], neg.shape[-1]
+    rep = np.repeat(np.arange(pos.size).reshape(pos.shape), m, axis=-1)
+    tile = np.tile(np.arange(neg.size).reshape(neg.shape), k)
     diff = dg.index_select(d_pos, rep) - dg.index_select(d_neg, tile)
-    if params.unbounded:
-        result = dg.scale(dg.sum(diff), 1.0 / (k * m))
-    else:
-        result = dg.scale(dg.sum(dg.clamp(diff + params.margin, lo=0.0)), 1.0 / (k * m))
-    return result if isinstance(result, Tensor) else float(result)
+    if not params.unbounded:
+        diff = dg.clamp(diff + params.margin, lo=0.0)
+    return _result(dg.scale(dg.sum(diff), 1.0 / (pos.size * m)))

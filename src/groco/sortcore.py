@@ -6,9 +6,10 @@ the pairs starting at index 1 (0-based). Relaxing each conditional swap with
 an arctan sigmoid turns the network into a chain of doubly stochastic swap
 matrices whose product is a differentiable permutation matrix.
 
-`diff_sort` accepts either a plain array (returning concrete results) or a
-`diffgrad.Tensor` (recording the whole network so gradients can flow back to
-the inputs). Swap probabilities at each step are computed from the running,
+`sort_matrix` runs the network over one value list or a batch of rows at
+once. It accepts either a plain array (returning concrete results) or a
+`diffgrad.Tensor`, on whose tape the whole network is one op with a
+hand-written gradient. Swap probabilities at each step are computed from the running,
 partially-sorted values, i.e. the relaxation follows the sequential network
 rather than re-reading the original input; this is an interpretation choice
 and is pinned by the oracle tests.
@@ -32,6 +33,7 @@ __all__ = [
     "soft_swap",
     "swap_matrix",
     "step_matrix",
+    "sort_matrix",
     "diff_sort",
     "hard_sort",
     "permutation_matrix",
@@ -47,10 +49,11 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _check_values(values) -> np.ndarray:
+def _check_values(values, max_ndim: int = 1) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"expected a non-empty 1-D value list, got shape {arr.shape}")
+    if not (1 <= arr.ndim <= max_ndim) or arr.size < 1:
+        kind = "1-D value list" if max_ndim == 1 else "value list or (A, n) batch of them"
+        raise ValueError(f"expected a non-empty {kind}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("values must be finite")
     return arr
@@ -161,36 +164,6 @@ def _step_pairs(n: int, step: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in range(start, n - 1, 2))
 
 
-_GATHER_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _step_gather(n: int, step: int):
-    """Index arrays for assembling one step matrix from a value pool
-    [stay_0..stay_{p-1}, swap_0..swap_{p-1}, 0.0, 1.0]."""
-    key = (n, step % 2)
-    cached = _GATHER_CACHE.get(key)
-    if cached is not None:
-        return cached
-    pairs = _step_pairs(n, step)
-    p = len(pairs)
-    idx_i = np.array([i for i, _ in pairs], dtype=np.intp)
-    idx_j = np.array([j for _, j in pairs], dtype=np.intp)
-    gather = np.full((n, n), 2 * p, dtype=np.intp)  # default: the 0.0 slot
-    gather[np.arange(n), np.arange(n)] = 2 * p + 1  # diagonal: the 1.0 slot
-    for k, (i, j) in enumerate(pairs):
-        gather[i, i] = gather[j, j] = k
-        gather[i, j] = gather[j, i] = p + k
-    result = (idx_i, idx_j, gather)
-    _GATHER_CACHE[key] = result
-    return result
-
-
-def _stay_probs(values, idx_i, idx_j, beta):
-    vi = dg.index_select(values, idx_i)
-    vj = dg.index_select(values, idx_j)
-    return dg.scale(dg.arctan(dg.scale(vj - vi, beta)), _INV_PI) + 0.5
-
-
 def step_matrix(values, step: int, beta: float) -> RelaxedPermutation:
     """Product of the independent adjacent-pair swap matrices of one step.
 
@@ -204,50 +177,102 @@ def step_matrix(values, step: int, beta: float) -> RelaxedPermutation:
     step = int(step)
     if not (1 <= step <= n):
         raise ValueError(f"step must be in 1..{n}, got {step}")
-    return RelaxedPermutation(_step_matrix_raw(arr, n, step, beta))
+    m = np.eye(n, dtype=np.float64)
+    for i, j in _step_pairs(n, step):
+        m = swap_matrix(n, i, j, arr[i], arr[j], beta).entries @ m
+    return RelaxedPermutation(m)
 
 
-def _step_matrix_raw(values, n: int, step: int, beta: float):
-    idx_i, idx_j, gather = _step_gather(n, step)
-    if idx_i.size == 0:
-        return np.eye(n, dtype=np.float64)
-    stay = _stay_probs(values, idx_i, idx_j, beta)
-    pool = dg.concat([stay, 1.0 - stay, np.array([0.0, 1.0])])
-    return dg.index_select(pool, gather)
+def _network(values: np.ndarray, beta: float):
+    """Run the relaxed network over every row of `values` (A, n) at once.
+
+    The state is M = [P | v] of shape (A, n, n + 1): the permutation so far
+    and the running values. A step replaces each compared row pair (i, j)
+    by stay * row_i + (1 - stay) * row_j and its mirror image, with
+    stay = f(v_j - v_i). Returns M after all n steps and, per step with at
+    least one pair, (first row, end row, stay, row_i - row_j) for the
+    gradient.
+    """
+    rows, n = values.shape
+    m = np.zeros((rows, n, n + 1), dtype=np.float64)
+    m[:, np.arange(n), np.arange(n)] = 1.0
+    m[:, :, n] = values
+    saved = []
+    for step in range(1, n + 1):
+        pairs = _step_pairs(n, step)
+        if not pairs:
+            continue
+        lo, hi = pairs[0][0], pairs[-1][1] + 1
+        top, bottom = m[:, lo:hi:2], m[:, lo + 1 : hi : 2]
+        diff = top - bottom
+        stay = np.arctan(-beta * diff[..., n]) * _INV_PI + 0.5
+        shift = stay[..., None] * diff
+        new_top = bottom + shift
+        m[:, lo + 1 : hi : 2] = top - shift
+        m[:, lo:hi:2] = new_top
+        saved.append((lo, hi, stay, diff))
+    return m, saved
+
+
+def _vjp_sort_matrix(node, g):
+    """Reverse pass through the stored steps: each step is linear in M given
+    its stay probabilities, and each stay depends on its pair's values."""
+    x = node.inputs[0]
+    beta = node.attrs["beta"]
+    n = x.shape[-1]
+    gm = np.zeros((x.size // n, n, n + 1), dtype=np.float64)
+    gm[:, :, :n] = g.reshape(-1, n, n)
+    for lo, hi, stay, diff in reversed(node.attrs["saved"]):
+        g_top, g_bottom = gm[:, lo:hi:2], gm[:, lo + 1 : hi : 2]
+        g_diff = g_top - g_bottom
+        g_stay = np.sum(g_diff * diff, axis=-1)
+        # d stay / d(v_j - v_i), with v_j - v_i = -diff[..., n]
+        g_gap = g_stay * (beta * _INV_PI) / (1.0 + np.square(beta * diff[..., n]))
+        shift = stay[..., None] * g_diff
+        new_top = g_bottom + shift
+        gm[:, lo + 1 : hi : 2] = g_top - shift
+        gm[:, lo:hi:2] = new_top
+        gm[:, lo + 1 : hi : 2, n] += g_gap
+        gm[:, lo:hi:2, n] -= g_gap
+    return (gm[:, :, n].reshape(x.shape),)
+
+
+dg.VJP_RULES["sort_matrix"] = _vjp_sort_matrix
+
+
+def sort_matrix(values, beta: float):
+    """Relaxed permutation matrix of the full network, for one value list
+    (n,) or for each row of an (A, n) batch: returns (n, n) or (A, n, n).
+
+    Each step's swap probabilities come from the running soft values, and
+    later steps multiply on the left. A plain input gives a plain array; a
+    `diffgrad.Tensor` input is recorded as one op whose gradient runs the
+    stored steps backwards.
+    """
+    beta = _check_beta(beta)
+    arr = _check_values(values.data if isinstance(values, Tensor) else values, max_ndim=2)
+    m, saved = _network(arr.reshape(-1, arr.shape[-1]), beta)
+    p = m[:, :, :-1].reshape(arr.shape + arr.shape[-1:])
+    if isinstance(values, Tensor):
+        return values.tape._append("sort_matrix", (values,), p, beta=beta, saved=saved)
+    return p
 
 
 def diff_sort(values, beta: float):
-    """Run the full relaxed network: n steps, each step's swaps applied to
-    the running soft values.
+    """Run the full relaxed network on one value list.
 
-    Returns `(sorted_soft, P)` with `sorted_soft = P @ values` and P the
-    product of the step matrices (later steps multiplied on the left). With a
-    plain array input P comes wrapped as a `RelaxedPermutation`; with a
-    `diffgrad.Tensor` input both results are tensors on the input's tape.
+    Returns `(sorted_soft, P)` with P from `sort_matrix` and
+    `sorted_soft = P @ values`. With a plain array input P comes wrapped as
+    a `RelaxedPermutation`; with a `diffgrad.Tensor` input both results are
+    tensors on the input's tape.
     """
-    beta = _check_beta(beta)
-    if isinstance(values, Tensor):
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError(f"expected a non-empty 1-D value list, got shape {values.shape}")
-        return _diff_sort_core(values, values.size, beta)
-    arr = _check_values(values)
-    sorted_soft, p = _diff_sort_core(arr, arr.size, beta)
-    return sorted_soft, RelaxedPermutation(p)
-
-
-def _diff_sort_core(values, n: int, beta: float):
-    p_total = None
-    v = values
-    for step in range(1, n + 1):
-        if not _step_pairs(n, step):
-            continue
-        p_step = _step_matrix_raw(v, n, step, beta)
-        p_total = p_step if p_total is None else dg.matmul(p_step, p_total)
-        v = dg.matmul(p_step, v)
-    if p_total is None:  # n == 1
-        eye = np.eye(n, dtype=np.float64)
-        p_total = values.tape.constant(eye) if isinstance(values, Tensor) else eye
-    return v, p_total
+    if not isinstance(values, Tensor):
+        values = _check_values(values)
+    elif values.ndim != 1:
+        raise ValueError(f"expected a non-empty 1-D value list, got shape {values.shape}")
+    p = sort_matrix(values, beta)
+    sorted_soft = dg.matmul(p, values)
+    return (sorted_soft, p) if isinstance(values, Tensor) else (sorted_soft, RelaxedPermutation(p))
 
 
 def hard_sort(values) -> tuple[np.ndarray, HardPermutation]:

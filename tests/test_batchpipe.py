@@ -7,7 +7,7 @@ from groco import losses as ls
 from groco.diffgrad import NumericError, Tape
 from groco.losses import GroCoParams, InfoNCEParams, TripletParams
 
-from oracles import oracle_groco
+from oracles import oracle_groco, oracle_infonce, oracle_triplet
 
 
 def _make_batch(rng, images=3, views=2, dim=4, as_tensor=False):
@@ -51,6 +51,9 @@ def test_select_top_negatives_ties_and_oracle():
         got = bp.select_top_negatives(d, n)
         expect = sorted(range(d.size), key=lambda i: (d[i], i))[: min(n, d.size)]
         assert got.tolist() == expect
+    rows = rng.integers(0, 3, (5, 7)).astype(float)  # many exact ties
+    got = bp.select_top_negatives(rows, 4)
+    assert got.tolist() == [bp.select_top_negatives(row, 4).tolist() for row in rows]
 
 
 def test_view_batch_validation():
@@ -287,3 +290,45 @@ def test_zero_norm_projection_reports_view():
     batch = bp.ViewBatch(proj, np.array([0, 0, 1, 1]), 2)
     with pytest.raises(NumericError, match="view 2"):
         bp.build_anchor_group(batch, 0, num_negatives=2)
+
+
+def _oracle_groups(unit, image_id, anchor, num_negatives, preorder):
+    """One anchor's groups from explicit loops: negatives are the smallest
+    distances, lower view first on ties; pre-ordering sorts by (distance,
+    view), otherwise views stay in batch order."""
+    d = [-float(unit[anchor] @ unit[j]) for j in range(len(image_id))]
+    others = [j for j in range(len(image_id)) if j != anchor]
+    pos = [j for j in others if image_id[j] == image_id[anchor]]
+    neg = sorted((j for j in others if image_id[j] != image_id[anchor]), key=lambda j: (d[j], j))
+    neg = neg[:num_negatives]
+    if preorder:
+        pos = sorted(pos, key=lambda j: (d[j], j))
+    else:
+        neg = sorted(neg)
+    return [d[j] for j in pos], [d[j] for j in neg]
+
+
+def test_batch_loss_matches_per_anchor_oracles_with_ties():
+    # unit-norm-friendly rows: every cosine distance is exact, and many tie
+    rng = np.random.default_rng(56)
+    directions = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [2, 0, 0, 0], [0, 0, 2, 0], [1, 1, -1, -1]], float)
+    for raw, views in ((directions[rng.integers(0, 5, 12)], 2), (rng.normal(size=(12, 4)), 3)):
+        image_id = np.repeat(np.arange(12 // views), views)
+        unit = raw / np.sqrt(np.sum(raw * raw, axis=1, keepdims=True))
+        cases = (
+            ("groco", GroCoParams(beta=1.5, num_positives=views - 1, num_negatives=4), 4,
+             lambda p, n: oracle_groco(p, n, 1.5)),
+            ("infonce", InfoNCEParams(tau=0.3), 12 - views, lambda p, n: oracle_infonce(p, n, 0.3)),
+            ("triplet", TripletParams(margin=0.8), 3, lambda p, n: oracle_triplet(p, n, 0.8)),
+        )
+        for kind, params, count, oracle in cases:
+            for preorder in (True, False):
+                expect = np.mean(
+                    [oracle(*_oracle_groups(unit, image_id, a, count, preorder)) for a in range(12)]
+                )
+                for stop_grad in (True, False):
+                    tape = Tape()
+                    batch = bp.ViewBatch(tape.variable(raw), image_id, views)
+                    got = bp.batch_loss(batch, kind, params, num_negatives=count, stop_grad=stop_grad,
+                                        preorder=preorder)
+                    assert abs(float(got.data) - expect) < 1e-12, (kind, preorder, stop_grad)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from groco import diffgrad as dg
+from groco import sortcore as sc
 from groco.diffgrad import NumericError, Tape, Tensor
 
 from oracles import central_difference
@@ -17,7 +18,7 @@ def _scalar_tape(values):
 def test_record_mul_example():
     tape, a = _scalar_tape([2.0])
     b = tape.variable([3.0])
-    out = dg.record("mul", a, b)
+    out = dg.mul(a, b)
     assert out.data.tolist() == [6.0]
     gmap = dg.backward(tape, dg.sum(out))
     assert gmap.grad(a).tolist() == [3.0]
@@ -26,16 +27,10 @@ def test_record_mul_example():
 
 def test_record_arctan_example():
     tape, x = _scalar_tape([1.0])
-    out = dg.record("arctan", x)
+    out = dg.arctan(x)
     assert abs(float(out.data[0]) - math.pi / 4) < 1e-15
     gmap = dg.backward(tape, dg.sum(out))
     assert gmap.grad(x).tolist() == [0.5]
-
-
-def test_record_rejects_unknown_kind():
-    tape, x = _scalar_tape([1.0])
-    with pytest.raises(ValueError):
-        dg.record("tanh", x)
 
 
 def test_record_supports_every_op_kind():
@@ -43,33 +38,29 @@ def test_record_supports_every_op_kind():
     v = tape.variable([0.5, 1.5])
     m = tape.variable([[1.0, 2.0], [3.0, 4.0]])
     calls = {
-        "add": (v, v),
-        "sub": (v, v),
-        "mul": (v, v),
-        "div": (v, v),
-        "matmul": (m, v),
-        "arctan": (v,),
-        "log": (v,),
-        "exp": (v,),
-        "sum": (v,),
-        "dot": (v, v),
-        "l2norm": (v,),
-        "clamp": (v,),
-        "scale": (v,),
-        "concat": (v, v),
-        "index_select": (v,),
-        "stop_grad": (v,),
+        "add": lambda: dg.add(v, v),
+        "sub": lambda: dg.sub(v, v),
+        "mul": lambda: dg.mul(v, v),
+        "div": lambda: dg.div(v, v),
+        "matmul": lambda: dg.matmul(m, v),
+        "arctan": lambda: dg.arctan(v),
+        "log": lambda: dg.log(v),
+        "exp": lambda: dg.exp(v),
+        "sum": lambda: dg.sum(v),
+        "l2norm": lambda: dg.l2norm(v),
+        "clamp": lambda: dg.clamp(v, lo=0.0),
+        "scale": lambda: dg.scale(v, 2.0),
+        "concat": lambda: dg.concat([v, v]),
+        "index_select": lambda: dg.index_select(v, np.array([1, 0])),
+        "stop_grad": lambda: dg.stop_grad(v),
+        "sort_matrix": lambda: sc.sort_matrix(m, 1.0),
     }
-    attrs = {
-        "clamp": {"lo": 0.0},
-        "scale": {"factor": 2.0},
-        "index_select": {"indices": np.array([1, 0])},
-    }
-    assert set(calls) == set(dg.OP_KINDS)
-    for kind, inputs in calls.items():
-        out = dg.record(kind, *inputs, **attrs.get(kind, {}))
+    assert set(calls) == set(dg.VJP_RULES)
+    for kind, call in calls.items():
+        out = call()
         assert isinstance(out, Tensor)
         assert out.tape is tape
+        assert tape.nodes[-1].op_kind == kind and tape.nodes[-1].output is out
 
 
 def test_stop_grad_zeroes_gradient_exactly():
@@ -87,7 +78,7 @@ def test_backward_sum_and_dot():
     assert gmap.grad(x).tolist() == [1.0, 1.0, 1.0]
 
     tape, x = _scalar_tape([1.0, 2.0])
-    gmap = dg.backward(tape, dg.dot(x, x))
+    gmap = dg.backward(tape, dg.sum(x * x))
     assert gmap.grad(x).tolist() == [2.0, 4.0]
 
 
@@ -146,8 +137,6 @@ def test_shape_mismatch_rejected():
     b = tape.variable(np.ones((2, 3)))
     with pytest.raises(ValueError):
         dg.matmul(a, b)
-    with pytest.raises(ValueError):
-        dg.dot(tape.variable([1.0, 2.0]), tape.variable([1.0, 2.0, 3.0]))
 
 
 def _single_op_cases():
@@ -155,6 +144,7 @@ def _single_op_cases():
     v3 = rng.uniform(0.5, 2.0, 3)
     m23 = rng.uniform(-1.5, 1.5, (2, 3))
     m32 = rng.uniform(-1.5, 1.5, (3, 2))
+    w233 = rng.uniform(-1.5, 1.5, (2, 3, 3))
     return [
         ("add", lambda t, x: dg.sum(dg.add(x, t.constant([0.3, -0.2, 0.4]))), v3),
         ("sub", lambda t, x: dg.sum(dg.sub(1.5, x)), v3),
@@ -165,7 +155,6 @@ def _single_op_cases():
         ("arctan", lambda t, x: dg.sum(dg.arctan(x)), v3),
         ("log", lambda t, x: dg.sum(dg.log(x)), v3),
         ("exp", lambda t, x: dg.sum(dg.exp(x)), v3),
-        ("dot", lambda t, x: dg.dot(x, x), v3),
         ("l2norm", lambda t, x: dg.sum(dg.l2norm(x, axis=1, keepdims=True)), m23.copy()),
         ("clamp", lambda t, x: dg.sum(dg.clamp(x, lo=0.7, hi=1.8)), v3),
         ("scale", lambda t, x: dg.sum(dg.scale(x, -2.5)), v3),
@@ -176,6 +165,7 @@ def _single_op_cases():
             v3,
         ),
         ("transpose", lambda t, x: dg.sum(dg.mul(dg.transpose(x), m32)), m23.copy()),
+        ("sort_matrix", lambda t, x: dg.sum(dg.mul(sc.sort_matrix(x, 1.5), w233)), m23.copy()),
     ]
 
 

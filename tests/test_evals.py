@@ -37,6 +37,13 @@ def test_knn_predict_matches_bruteforce_oracle():
         q = rng.normal(size=6)
         k = int(rng.integers(1, 8))
         assert ev.knn_predict(train, labels, q, k) == oracle_knn_predict(train, labels, q, k, 0.07)
+    # the batched accuracy, with duplicated train rows so that neighbours tie
+    train[20:30] = train[:10]
+    queries = np.concatenate([rng.normal(size=(30, 6)), train[:5]])
+    truth = rng.integers(0, 4, 35)
+    for k in (1, 4, 12):
+        hits = sum(oracle_knn_predict(train, labels, q, k, 0.07) == t for q, t in zip(queries, truth))
+        assert ev.knn_accuracy(train, labels, queries, truth, k) == hits / 35
 
 
 def test_knn_predict_validation():

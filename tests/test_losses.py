@@ -275,3 +275,25 @@ def test_group_loss_from_concat_accepts_unordered():
     assert np.isfinite(val) and val > 0
     expect = oracle_groco([0.4, -0.2], [0.3, -0.5], 1.0)
     assert abs(float(val) - expect) < 1e-12
+
+
+def test_row_batches_equal_mean_of_row_losses():
+    rng = np.random.default_rng(32)
+    d_pos = np.sort(rng.uniform(-1, 1, (5, 2)), axis=1)
+    d_neg = np.sort(rng.uniform(-1, 1, (5, 4)), axis=1)
+    raw = rng.uniform(-1, 1, (5, 6))
+    cases = [
+        (lambda p, n: ls.groco_loss(p, n, GroCoParams(beta=1.5)), d_pos, d_neg),
+        (lambda p, n: ls.infonce_loss(p, n, InfoNCEParams(tau=0.2)), d_pos, d_neg),
+        (lambda p, n: ls.triplet_loss(p, n, TripletParams(margin=0.8)), d_pos, d_neg),
+        (lambda p, n: ls.triplet_loss(p, n, TripletParams(margin=math.inf)), d_pos, d_neg),
+        (lambda p, n: ls.group_loss_from_concat(np.concatenate([p, n], axis=-1), 2, 1.5), raw[:, :2], raw[:, 2:]),
+        (lambda p, n: ls.groco_from_raw_distances(np.concatenate([p, n], axis=-1), 2, 1.5), raw[:, :2], raw[:, 2:]),
+    ]
+    for loss, pos, neg in cases:
+        expect = np.mean([loss(p, n) for p, n in zip(pos, neg)])
+        assert abs(loss(pos, neg) - expect) < 1e-12
+    with pytest.raises(ValueError):
+        ls.groco_loss(d_pos, d_neg[:4], GroCoParams())
+    with pytest.raises(ValueError):
+        ls.groco_loss(d_pos[:, ::-1], d_neg, GroCoParams())

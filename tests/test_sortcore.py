@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from groco import diffgrad as dg
 from groco import sortcore as sc
 
 from oracles import oracle_diff_sort, oracle_f, oracle_step_matrix
@@ -150,6 +151,41 @@ def test_diff_sort_matches_dense_oracle():
         assert np.max(np.abs(got_sorted - expect_sorted)) < 1e-12
 
 
+def _tied_batch(rng, n):
+    """Rows of random values, one constant row, and rows with an exact tie."""
+    rows = rng.normal(size=(4, n))
+    rows[1] = 0.25
+    if n > 2:
+        rows[2, 1] = rows[2, 0]
+        rows[3, -1] = rows[3, 1]
+    return rows
+
+
+def test_sort_matrix_batch_matches_dense_oracle():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 5, 11, 16):
+        for beta in (0.5, 1.0, 4.0):
+            rows = _tied_batch(rng, n)
+            p = sc.sort_matrix(rows, beta)
+            assert p.shape == (4, n, n)
+            for row, got in zip(rows, p):
+                _, expect = oracle_diff_sort(row.tolist(), beta)
+                assert np.max(np.abs(got - expect)) < 1e-12
+            assert np.array_equal(sc.sort_matrix(rows[2], beta), p[2])
+
+
+def test_sort_matrix_gradient_matches_central_differences():
+    rng = np.random.default_rng(10)
+    for n in (1, 2, 5, 11):
+        for beta in (0.5, 4.0):
+            rows = _tied_batch(rng, n)
+            weights = rng.uniform(-1.0, 1.0, (4, n, n))
+            report = dg.grad_check(
+                lambda t, x: dg.sum(dg.mul(sc.sort_matrix(x, beta), weights)), rows, h=1e-6, tol=1e-5
+            )
+            assert report.passed, f"n={n} beta={beta}: rel error {report.max_rel_error:.3e}"
+
+
 def test_diff_sort_doubly_stochastic_and_sum_conserving():
     rng = np.random.default_rng(6)
     betas = [0.5, 1.0, 2.0, 10.0]
@@ -231,3 +267,7 @@ def test_diff_sort_rejects_bad_input():
         sc.diff_sort([1.0, math.nan], 1.0)
     with pytest.raises(ValueError):
         sc.diff_sort([1.0, 2.0], -1.0)
+    with pytest.raises(ValueError):
+        sc.diff_sort(np.ones((2, 2)), 1.0)
+    with pytest.raises(ValueError):
+        sc.sort_matrix(np.ones((2, 2, 2)), 1.0)
