@@ -106,14 +106,33 @@ def cosine_distance(x, y) -> float:
 
 def select_top_negatives(d_all, num_negatives: int) -> np.ndarray:
     """Indices of the min(num_negatives, len) smallest distances (the
-    strongest negatives), ascending, ties broken by lower original index.
+    strongest negatives), ascending, ties broken by lower original index:
+    exactly `np.argsort(d_all, kind="stable")[..., :num_negatives]`, found by
+    a per-row partition and a stable sort of the survivors only.
     A 2-D input is one distance list per row and gives one index row each."""
     d = np.asarray(d_all, dtype=np.float64)
     if d.ndim not in (1, 2) or d.size < 1:
         raise ValueError(f"expected a non-empty 1-D distance list or 2-D rows of them, got shape {d.shape}")
     if num_negatives < 1:
         raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
-    return np.argsort(d, axis=-1, kind="stable")[..., :num_negatives]
+    k = num_negatives
+    if k >= d.shape[-1]:
+        return np.argsort(d, axis=-1, kind="stable")
+    rows = d.reshape(-1, d.shape[-1])
+    # t = the k-th smallest value per row; NaNs sort last, so a NaN t means
+    # the row has fewer than k numbers and the comparisons below cannot work
+    t = np.partition(rows, k - 1, axis=1)[:, [k - 1]]  # a copy: the partition is freed
+    if np.isnan(t).any():
+        return np.argsort(d, axis=-1, kind="stable")[..., :k]
+    keep = rows < t
+    at_t = rows == t
+    room = k - keep.sum(axis=1, keepdims=True)  # places left for entries equal to t
+    crowded = np.flatnonzero(at_t.sum(axis=1) > room[:, 0])
+    if crowded.size:  # too many ties at t: the lowest indices win
+        at_t[crowded] &= np.cumsum(at_t[crowded], axis=1) <= room[crowded]
+    keep |= at_t
+    cols = np.nonzero(keep)[1].reshape(rows.shape[0], k)  # ascending column per row
+    return _ascending(rows, cols).reshape(d.shape[:-1] + (k,))
 
 
 def _normalized_rows(projections):

@@ -110,11 +110,13 @@ def check_view_noise(view_noise, dim: int | None = None):
 
 
 def augment_view(x, view_noise, rng: np.random.Generator) -> np.ndarray:
-    """One noisy view: x plus per-coordinate Gaussian noise from the supplied
-    stream, scaled by `view_noise` (a scalar, or one standard deviation per
-    coordinate; see `check_view_noise`). The stream advances the same way
-    regardless of the noise level, so replaying a generator state replays
-    the view."""
+    """One noisy view of each row of x (or of a single vector): x plus
+    per-coordinate Gaussian noise from the supplied stream, scaled by
+    `view_noise` (a scalar, or one standard deviation per coordinate; see
+    `check_view_noise`). The noise is drawn row after row, so a (k, D) block
+    equals k one-row calls on the same stream. The stream advances the same
+    way regardless of the noise level, so replaying a generator state
+    replays the views."""
     x = np.asarray(x, dtype=np.float64)
     sigma = check_view_noise(view_noise, x.shape[-1] if x.ndim else 1)
     return x + rng.standard_normal(x.shape) * sigma

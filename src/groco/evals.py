@@ -3,10 +3,12 @@ optimization-dynamics experiment."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import batchpipe
 from . import diffgrad as dg
 from . import losses
 
@@ -58,13 +60,14 @@ def _knn_predictions(train_embeds, train_labels, queries, k: int, weight_tau: fl
         raise ValueError("empty train set")
     if not (1 <= k <= train.shape[0]):
         raise ValueError(f"k must be in 1..{train.shape[0]}, got {k}")
-    sims = _unit_rows(queries, "query") @ train.T
-    nearest = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    distances = _unit_rows(queries, "query") @ train.T
+    np.negative(distances, out=distances)  # in place: no second (Q, N) array
+    nearest = batchpipe.select_top_negatives(distances, k)
     classes, label_index = np.unique(train_labels, return_inverse=True)
     votes = label_index[nearest]
-    weights = np.exp(np.take_along_axis(sims, nearest, axis=1) / weight_tau)
-    scores = np.zeros((sims.shape[0], classes.size))
-    rows = np.arange(sims.shape[0])
+    weights = np.exp(-np.take_along_axis(distances, nearest, axis=1) / weight_tau)
+    scores = np.zeros((distances.shape[0], classes.size))
+    rows = np.arange(distances.shape[0])
     for j in range(k):  # add the votes in neighbour order
         scores[rows, votes[:, j]] += weights[:, j]
     return classes[np.argmax(scores, axis=1)]
@@ -108,32 +111,56 @@ def linear_probe(
     """Multinomial logistic regression on frozen embeddings.
 
     Full-batch gradient descent on softmax cross-entropy from a zero init;
-    returns test accuracy. The embeddings are never modified.
+    returns test accuracy. The embeddings are never modified. The model is
+    kept class-major: weights (C, D) and logits (C, n), so the softmax
+    reductions run across C contiguous rows, and every step writes into
+    buffers allocated once.
     """
-    x = np.asarray(train_embeds, dtype=np.float64)
+    x = np.ascontiguousarray(train_embeds, dtype=np.float64)
     y = np.asarray(train_labels)
     xt = np.asarray(test_embeds, dtype=np.float64)
     yt = np.asarray(test_labels)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("train embeddings/labels mismatch")
+    if xt.ndim != 2 or yt.shape != (xt.shape[0],):
+        raise ValueError("test embeddings/labels mismatch")
+    if xt.shape[1] != x.shape[1]:
+        raise ValueError(f"test embedding width {xt.shape[1]} differs from train width {x.shape[1]}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("linear probe needs at least two classes")
-    onehot = np.zeros((x.shape[0], classes.size))
-    onehot[np.arange(x.shape[0]), np.searchsorted(classes, y)] = 1.0
-
-    w = np.zeros((x.shape[1], classes.size))
-    b = np.zeros(classes.size)
     n = x.shape[0]
+    onehot = np.zeros((classes.size, n))
+    onehot[np.searchsorted(classes, y), np.arange(n)] = 1.0
+
+    x_transposed = np.ascontiguousarray(x.T)
+    w = np.zeros((classes.size, x.shape[1]))
+    b = np.zeros((classes.size, 1))
+    delta = np.empty((classes.size, n))  # logits, then probabilities, then the gradient
+    column = np.empty(n)
+    grad_w = np.empty_like(w)
+    grad_b = np.empty_like(b)
     for _ in range(steps):
-        logits = x @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        delta = (p - onehot) / n
-        w -= lr * (x.T @ delta)
-        b -= lr * delta.sum(axis=0)
-    pred = classes[np.argmax(xt @ w + b, axis=1)]
+        np.matmul(w, x_transposed, out=delta)
+        delta += b
+        np.max(delta, axis=0, out=column)
+        delta -= column
+        np.exp(delta, out=delta)
+        np.sum(delta, axis=0, out=column)
+        delta /= column
+        delta -= onehot
+        delta /= n
+        np.matmul(delta, x, out=grad_w)
+        grad_w *= lr
+        w -= grad_w
+        np.sum(delta, axis=1, keepdims=True, out=grad_b)
+        grad_b *= lr
+        b -= grad_b
+    pred = classes[np.argmax(w @ xt.T + b, axis=0)]
     return float(np.mean(pred == yt))
 
 

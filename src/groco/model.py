@@ -376,12 +376,8 @@ def train(dataset: Dataset, config: TrainConfig, metrics_path=None) -> TrainResu
         order = rng_shuffle.permutation(count)
         for batch_index in range(steps_per_epoch):
             image_rows = order[batch_index * bsz : (batch_index + 1) * bsz]
-            views = np.empty((m * bsz, vectors.shape[1]), dtype=np.float64)
-            for i, row in enumerate(image_rows):
-                for v in range(m):
-                    views[i * m + v] = dataio.augment_view(
-                        vectors[row], view_noise, rng_augment
-                    )
+            # row i * m + v is view v of image i, drawn in that order
+            views = dataio.augment_view(np.repeat(vectors[image_rows], m, axis=0), view_noise, rng_augment)
             image_id = np.repeat(np.arange(bsz), m)
 
             lr = cosine_warmup_lr(step, total_steps, warmup_steps, config.lr)

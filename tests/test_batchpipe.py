@@ -56,6 +56,43 @@ def test_select_top_negatives_ties_and_oracle():
     assert got.tolist() == [bp.select_top_negatives(row, 4).tolist() for row in rows]
 
 
+def test_select_top_negatives_ties_straddling_the_kth_place():
+    # integer-grid rows where the k-th smallest value is shared by entries
+    # on both sides of place k: only the lowest-index ties may get in
+    rows = np.array(
+        [
+            [2.0, 1.0, 1.0, 0.0, 1.0, 1.0, 3.0, 1.0],  # four 1s compete for places 2..
+            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # one value only
+            [5.0, 0.0, 5.0, 0.0, 5.0, 0.0, 5.0, 0.0],
+            [3.0, 2.0, 1.0, 0.0, -1.0, -2.0, -3.0, -4.0],  # no ties
+            [0.0, 0.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0],
+        ]
+    )
+    n = rows.shape[1]
+    for k in (1, 2, 3, 4, 5, n - 1, n, n + 3):
+        expect = np.argsort(rows, axis=1, kind="stable")[:, :k]
+        assert bp.select_top_negatives(rows, k).tolist() == expect.tolist()
+        for row, want in zip(rows, expect):
+            assert bp.select_top_negatives(row, k).tolist() == want.tolist()
+    assert bp.select_top_negatives(rows[0], 2).tolist() == [3, 1]
+    assert bp.select_top_negatives(rows[1], 3).tolist() == [0, 1, 2]
+    rng = np.random.default_rng(44)
+    for _ in range(200):
+        rows = rng.integers(-2, 3, (int(rng.integers(1, 6)), int(rng.integers(1, 16)))).astype(float)
+        n = rows.shape[1]
+        for k in {1, 2, max(n - 1, 1), n, n + 1, int(rng.integers(1, n + 1))}:
+            expect = np.argsort(rows, axis=1, kind="stable")[:, :k]
+            assert bp.select_top_negatives(rows, k).tolist() == expect.tolist()
+            assert bp.select_top_negatives(rows[0], k).tolist() == expect[0].tolist()
+
+
+def test_select_top_negatives_nan_and_infinite_entries_sort_like_argsort():
+    rows = np.array([[np.nan, 1.0, -np.inf, np.nan, 1.0], [np.nan, np.nan, np.nan, 0.0, np.inf]])
+    for k in range(1, 6):
+        expect = np.argsort(rows, axis=1, kind="stable")[:, :k]
+        assert bp.select_top_negatives(rows, k).tolist() == expect.tolist()
+
+
 def test_view_batch_validation():
     rng = np.random.default_rng(41)
     with pytest.raises(ValueError):

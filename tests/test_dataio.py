@@ -79,6 +79,16 @@ def test_augment_view_scalar_and_equal_vector_are_identical():
     assert np.array_equal(scalar, vector)
 
 
+def test_augment_view_block_equals_row_by_row_calls():
+    rng = np.random.default_rng(9)
+    block = rng.normal(size=(6, 4))
+    for sigma in (0.7, [0.1, 0.0, 2.0, 0.7]):
+        whole = dio.augment_view(block, sigma, np.random.default_rng(10))
+        stream = np.random.default_rng(10)
+        rows = np.stack([dio.augment_view(row, sigma, stream) for row in block])
+        assert np.array_equal(whole, rows)
+
+
 def test_augment_view_rejects_negative_noise():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):

@@ -46,6 +46,21 @@ def test_knn_predict_matches_bruteforce_oracle():
         assert ev.knn_accuracy(train, labels, queries, truth, k) == hits / 35
 
 
+def test_knn_accuracy_duplicated_train_rows_at_the_k_boundary():
+    # every train row appears three times, so each query's neighbours come in
+    # tied triples and k = 1, 2, 4, 5, ... cuts through a triple
+    rng = np.random.default_rng(77)
+    base = rng.integers(-2, 3, (12, 3)).astype(float)
+    base[np.all(base == 0, axis=1)] = 1.0
+    train = np.concatenate([base, base, base])
+    labels = rng.integers(0, 3, train.shape[0])  # copies of a row disagree
+    queries = np.concatenate([base[:6], rng.integers(-2, 3, (14, 3)).astype(float) + 0.5])
+    truth = rng.integers(0, 3, queries.shape[0])
+    for k in (1, 2, 3, 4, 5, 7, 8, train.shape[0] - 1, train.shape[0]):
+        hits = sum(oracle_knn_predict(train, labels, q, k, 0.07) == t for q, t in zip(queries, truth))
+        assert ev.knn_accuracy(train, labels, queries, truth, k) == hits / queries.shape[0]
+
+
 def test_knn_predict_validation():
     train = np.ones((3, 2))
     labels = np.array([0, 1, 2])
@@ -113,6 +128,72 @@ def test_linear_probe_rejects_single_class():
     x = np.ones((10, 2))
     with pytest.raises(ValueError):
         ev.linear_probe(x, np.zeros(10), x, np.zeros(10))
+
+
+def _row_major_probe(x, y, xt, yt, steps, lr):
+    """The probe as a plain (n, C) loop: softmax over each row, fresh arrays
+    every step."""
+    classes = np.unique(y)
+    onehot = np.zeros((x.shape[0], classes.size))
+    onehot[np.arange(x.shape[0]), np.searchsorted(classes, y)] = 1.0
+    w = np.zeros((x.shape[1], classes.size))
+    b = np.zeros(classes.size)
+    n = x.shape[0]
+    for _ in range(steps):
+        logits = x @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        delta = (p - onehot) / n
+        w -= lr * (x.T @ delta)
+        b -= lr * delta.sum(axis=0)
+    pred = classes[np.argmax(xt @ w + b, axis=1)]
+    return float(np.mean(pred == yt))
+
+
+def test_linear_probe_matches_row_major_reference():
+    for seed in (80, 81, 82):
+        rng = np.random.default_rng(seed)
+        centers = 1.5 * rng.normal(size=(5, 6))
+        x, y = _clusters(rng, centers, 40, noise=1.0)
+        # test points on the segments between class centres, many of them
+        # near a decision boundary
+        mix = rng.uniform(0.3, 0.7, (60, 1))
+        pairs = rng.integers(0, 5, (60, 2))
+        xt = mix * centers[pairs[:, 0]] + (1 - mix) * centers[pairs[:, 1]]
+        yt = pairs[:, 0]
+        for steps, lr in ((500, 0.1), (37, 0.8)):
+            expect = _row_major_probe(x, y + 10, xt, yt + 10, steps, lr)
+            assert ev.linear_probe(x, y + 10, xt, yt + 10, steps=steps, lr=lr) == expect
+
+
+def _probe_data(seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(40, 3)), rng.integers(0, 2, 40)
+
+
+def test_linear_probe_rejects_one_label_for_many_test_rows():
+    x, y = _probe_data(78)
+    with pytest.raises(ValueError, match="test embeddings/labels"):
+        ev.linear_probe(x, y, x, y[:1])  # would broadcast against 40 predictions
+
+
+def test_linear_probe_rejects_test_width_mismatch():
+    x, y = _probe_data(78)
+    with pytest.raises(ValueError, match="width"):
+        ev.linear_probe(x, y, x[:, :2], y)
+
+
+def test_linear_probe_rejects_negative_steps():
+    x, y = _probe_data(78)
+    with pytest.raises(ValueError, match="steps"):
+        ev.linear_probe(x, y, x, y, steps=-3)
+
+
+def test_linear_probe_rejects_nan_lr():
+    x, y = _probe_data(78)
+    with pytest.raises(ValueError, match="lr"):
+        ev.linear_probe(x, y, x, y, lr=float("nan"))
 
 
 def test_linear_probe_never_mutates_embeddings():
