@@ -131,7 +131,7 @@ def select_top_negatives(d_all, num_negatives: int) -> np.ndarray:
     if crowded.size:  # too many ties at t: the lowest indices win
         at_t[crowded] &= np.cumsum(at_t[crowded], axis=1) <= room[crowded]
     keep |= at_t
-    cols = np.nonzero(keep)[1].reshape(rows.shape[0], k)  # ascending column per row
+    cols = (np.flatnonzero(keep) % rows.shape[1]).reshape(rows.shape[0], k)  # ascending column per row
     return _ascending(rows, cols).reshape(d.shape[:-1] + (k,))
 
 
@@ -159,27 +159,43 @@ def _ascending(raw: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.take_along_axis(cols, order, axis=1)
 
 
+def _own_image_columns(batch: ViewBatch) -> np.ndarray:
+    """(A, m) columns of the views of each view's own image, itself included,
+    ascending."""
+    by_image = np.argsort(batch.image_id, kind="stable").reshape(-1, batch.views_per_image)
+    cols = np.empty((batch.num_views, batch.views_per_image), dtype=np.intp)
+    cols[by_image] = by_image[:, None, :]
+    return cols
+
+
 def _select_groups(
     batch: ViewBatch, distances, num_negatives: int, random_negatives: bool, preorder: bool, rng
 ):
     """Columns of every anchor's positives (A, m - 1) and negatives (A, N)
     in the distance matrix, one row per anchor."""
     raw = distances.data if isinstance(distances, Tensor) else distances
-    ids = batch.image_id
-    same = ids[:, None] == ids[None, :]
-    pos = np.nonzero(same & ~np.eye(ids.size, dtype=bool))[1].reshape(ids.size, -1)
-    neg = np.nonzero(~same)[1].reshape(ids.size, -1)
+    own = _own_image_columns(batch)
+    rows = np.arange(batch.num_views)[:, None]
+    pos = own[own != rows].reshape(batch.num_views, -1)
     if random_negatives:
         if rng is None:
             raise ValueError("random_negatives requires a seeded rng")
+        other = np.ones(raw.shape, dtype=bool)
+        other[rows, own] = False
+        neg = (np.flatnonzero(other) % batch.num_views).reshape(batch.num_views, -1)
         picks = np.argsort(rng.random(neg.shape), axis=1)[:, :num_negatives]
-        neg = np.take_along_axis(neg, np.sort(picks, axis=1), axis=1)
+        neg = np.take_along_axis(neg, np.sort(picks, axis=1), axis=1)  # batch order
+        if preorder:
+            neg = _ascending(raw, neg)
     else:
-        strongest = select_top_negatives(np.take_along_axis(raw, neg, axis=1), num_negatives)
-        neg = np.take_along_axis(neg, strongest, axis=1)
-    if preorder:
-        return _ascending(raw, pos), _ascending(raw, neg)
-    return pos, np.sort(neg, axis=1)  # keep batch order
+        # +inf sorts after every distance, so with N capped at the number of
+        # negatives no column of the anchor's own image is ever taken
+        masked = raw.copy()
+        masked[rows, own] = np.inf
+        neg = select_top_negatives(masked, min(num_negatives, batch.num_views - batch.views_per_image))
+        if not preorder:
+            neg = np.sort(neg, axis=1)  # keep batch order
+    return (_ascending(raw, pos) if preorder else pos), neg
 
 
 def build_anchor_group(

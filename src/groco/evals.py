@@ -60,7 +60,10 @@ def _knn_predictions(train_embeds, train_labels, queries, k: int, weight_tau: fl
         raise ValueError("empty train set")
     if not (1 <= k <= train.shape[0]):
         raise ValueError(f"k must be in 1..{train.shape[0]}, got {k}")
-    distances = _unit_rows(queries, "query") @ train.T
+    queries = _unit_rows(queries, "query")
+    if queries.shape[1] != train.shape[1]:
+        raise ValueError(f"query width {queries.shape[1]} differs from train width {train.shape[1]}")
+    distances = queries @ train.T
     np.negative(distances, out=distances)  # in place: no second (Q, N) array
     nearest = batchpipe.select_top_negatives(distances, k)
     classes, label_index = np.unique(train_labels, return_inverse=True)

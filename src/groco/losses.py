@@ -128,19 +128,19 @@ def _bce_mean(p, targets: np.ndarray, denom: float):
 
 def _group_loss(d, num_positives: int, beta: float):
     """Mean group-ordering loss over the rows of `d`, (n,) or (A, n), whose
-    first `num_positives` entries are the positive group."""
+    first `num_positives` entries are the positive group.
+
+    Each input has two BCE terms: its mass in the positive places against
+    target 1 if it is a positive, and its mass in the negative places against
+    the opposite target. P is doubly stochastic, so every column sums to 1
+    and the negative mass is 1 - the positive mass. The clamp is symmetric,
+    so both terms are equal, and the mean over all 2n terms of a row is the
+    mean over its n positive-mass terms.
+    """
     shape = _raw(d).shape
-    n, rows = shape[-1], int(np.prod(shape[:-1]))
-    perm = sortcore.sort_matrix(d, beta)
-    # Column i of every P becomes a row; times `blocks` it gives the mass of
-    # input i sorted into positive places (< k) and into negative places.
-    columns = np.arange(rows * n * n).reshape(rows, n, n).transpose(0, 2, 1).reshape(rows * n, n)
-    blocks = np.zeros((n, 2), dtype=np.float64)
-    blocks[:num_positives, 0] = 1.0
-    blocks[num_positives:, 1] = 1.0
-    masses = dg.matmul(dg.index_select(perm, columns, assume_unique=True), blocks)
-    # an input's target is its own group: the same indicator as `blocks`
-    return _bce_mean(masses, np.tile(blocks, (rows, 1)), 2.0 * n * rows)
+    targets = np.zeros(shape, dtype=np.float64)
+    targets[..., :num_positives] = 1.0
+    return _bce_mean(sortcore.border_mass(d, num_positives, beta), targets, float(targets.size))
 
 
 def _check_split(arr: np.ndarray, num_positives: int) -> int:

@@ -6,8 +6,18 @@ the pairs starting at index 1 (0-based). Relaxing each conditional swap with
 an arctan sigmoid turns the network into a chain of doubly stochastic swap
 matrices whose product is a differentiable permutation matrix.
 
-`sort_matrix` runs the network over one value list or a batch of rows at
-once. It accepts either a plain array (returning concrete results) or a
+Two kernels run the relaxed network over one value list or a batch of rows
+at once:
+
+- `border_mass` returns only each input's mass in the first k sorted places,
+  s^T P for the indicator s of those places. It runs the network on the
+  values alone and pushes s back through the steps, in O(n^2) per row. The
+  group-ordering loss uses it.
+- `sort_matrix` returns the full permutation matrix P, in O(n^3) per row.
+  `diff_sort`, sorting supervision and `groco sort` use it, and it is the
+  reference `border_mass` is tested against.
+
+Each accepts either a plain array (returning concrete results) or a
 `diffgrad.Tensor`, on whose tape the whole network is one op with a
 hand-written gradient. Swap probabilities at each step are computed from the running,
 partially-sorted values, i.e. the relaxation follows the sequential network
@@ -34,6 +44,7 @@ __all__ = [
     "swap_matrix",
     "step_matrix",
     "sort_matrix",
+    "border_mass",
     "diff_sort",
     "hard_sort",
     "permutation_matrix",
@@ -256,6 +267,89 @@ def sort_matrix(values, beta: float):
     if isinstance(values, Tensor):
         return values.tape._append("sort_matrix", (values,), p, beta=beta, saved=saved)
     return p
+
+
+def _value_chain(values: np.ndarray, beta: float):
+    """Run the relaxed network on the running values of every row of
+    `values` (A, n) alone. Returns, per step with at least one pair,
+    (first index, end index, stay, v_i - v_j) with the values entering the
+    step; these are the same stays `_network` computes."""
+    v = values.copy()
+    n = v.shape[1]
+    steps = []
+    for step in range(1, n + 1):
+        pairs = _step_pairs(n, step)
+        if not pairs:
+            continue
+        lo, hi = pairs[0][0], pairs[-1][1] + 1
+        stay = np.arctan(-beta * (v[:, lo:hi:2] - v[:, lo + 1 : hi : 2])) * _INV_PI + 0.5
+        steps.append((lo, hi, stay, _swap_step(v, lo, hi, stay)))
+    return steps
+
+
+def _swap_step(x: np.ndarray, lo: int, hi: int, stay: np.ndarray) -> np.ndarray:
+    """Apply one step's symmetric swap block to the columns of `x` (A, n) in
+    place: x_i, x_j <- stay * x_i + (1 - stay) * x_j and its mirror image.
+    Returns x_i - x_j from before the step."""
+    top, bottom = x[:, lo:hi:2], x[:, lo + 1 : hi : 2]
+    gap = top - bottom
+    shift = stay * gap
+    new_top = bottom + shift
+    x[:, lo + 1 : hi : 2] = top - shift
+    x[:, lo:hi:2] = new_top
+    return gap
+
+
+def _vjp_border_mass(node, g):
+    """The mass is S_1 ... S_T s for the step matrices S_t, each symmetric
+    and linear given its stays. The adjoint u of the place chain runs the
+    steps forwards and gives each stay (u_i - u_j)(w_i - w_j); the adjoint
+    of the value chain then runs them backwards, adds its own stay term, and
+    turns each stay gradient into one on its pair's values."""
+    x = node.inputs[0]
+    beta = node.attrs["beta"]
+    steps, w_gaps = node.attrs["steps"], node.attrs["w_gaps"]
+    n = x.shape[-1]
+    u = np.array(g, dtype=np.float64).reshape(-1, n)
+    g_stays = [_swap_step(u, lo, hi, stay) * w_gap for (lo, hi, stay, _), w_gap in zip(steps, w_gaps)]
+    a = np.zeros_like(u)
+    for (lo, hi, stay, gap), g_stay in zip(reversed(steps), reversed(g_stays)):
+        g_stay += _swap_step(a, lo, hi, stay) * gap
+        # d stay / d(v_j - v_i), with v_j - v_i = -gap
+        g_gap = g_stay * (beta * _INV_PI) / (1.0 + np.square(beta * gap))
+        a[:, lo + 1 : hi : 2] += g_gap
+        a[:, lo:hi:2] -= g_gap
+    return (a.reshape(x.shape),)
+
+
+dg.VJP_RULES["border_mass"] = _vjp_border_mass
+
+
+def border_mass(values, num_positives: int, beta: float):
+    """Each input's relaxed mass in the first `num_positives` sorted places,
+    for one value list (n,) or for each row of an (A, n) batch: the column
+    sums of `sort_matrix` over its first `num_positives` rows, same shape as
+    the input.
+
+    The network runs on the values alone and stores its stays; the place
+    indicator then goes back through the steps as one vector per row, so no
+    n x n state is built. A `diffgrad.Tensor` input is recorded as one op.
+    """
+    beta = _check_beta(beta)
+    arr = _check_values(values.data if isinstance(values, Tensor) else values, max_ndim=2)
+    n = arr.shape[-1]
+    k = int(num_positives)
+    if not (0 <= k <= n):
+        raise ValueError(f"need 0 <= num_positives <= {n}, got {k}")
+    steps = _value_chain(arr.reshape(-1, n), beta)
+    w = np.zeros((arr.size // n, n), dtype=np.float64)
+    w[:, :k] = 1.0
+    # P = S_T ... S_1 with symmetric S_t, so s^T P = S_1 ... S_T s
+    w_gaps = [_swap_step(w, lo, hi, stay) for lo, hi, stay, _ in reversed(steps)][::-1]
+    mass = w.reshape(arr.shape)
+    if isinstance(values, Tensor):
+        return values.tape._append("border_mass", (values,), mass, beta=beta, steps=steps, w_gaps=w_gaps)
+    return mass
 
 
 def diff_sort(values, beta: float):

@@ -329,6 +329,84 @@ def test_zero_norm_projection_reports_view():
         bp.build_anchor_group(batch, 0, num_negatives=2)
 
 
+def _reference_columns(d, image_id, num_negatives, preorder):
+    """Every anchor's positive and negative columns from explicit loops:
+    negatives are the smallest distances, lower column first on ties;
+    pre-ordering sorts by (distance, column), otherwise columns stay in
+    batch order."""
+    pos_rows, neg_rows = [], []
+    for a in range(len(image_id)):
+        others = [j for j in range(len(image_id)) if j != a]
+        pos = [j for j in others if image_id[j] == image_id[a]]
+        neg = sorted((j for j in others if image_id[j] != image_id[a]), key=lambda j: (d[a, j], j))
+        neg = neg[:num_negatives]
+        if preorder:
+            pos = sorted(pos, key=lambda j: (d[a, j], j))
+        else:
+            neg = sorted(neg)
+        pos_rows.append(pos)
+        neg_rows.append(neg)
+    return np.array(pos_rows), np.array(neg_rows)
+
+
+def _tie_heavy_layout(rng, images, views):
+    """Shuffled, non-contiguous image ids and an integer-grid distance matrix
+    whose own-image entries are the smallest, so that a leaked one shows."""
+    image_id = rng.permutation(np.repeat(rng.choice(1000, images, replace=False), views))
+    d = rng.integers(-2, 3, (images * views,) * 2) / 2.0
+    d[image_id[:, None] == image_id[None, :]] = -9.0
+    return image_id, d
+
+
+def test_select_groups_matches_per_anchor_reference():
+    rng = np.random.default_rng(57)
+    for views in (2, 3):
+        for images in (2, 3, 7):
+            all_negatives = views * (images - 1)
+            for trial in range(4):
+                image_id, d = _tie_heavy_layout(rng, images, views)
+                batch = bp.ViewBatch(np.ones((images * views, 2)), image_id, views)
+                for n in sorted({1, 2, all_negatives - 1, all_negatives, all_negatives + 3} - {0}):
+                    for preorder in (True, False):
+                        pos, neg = bp._select_groups(batch, d, n, False, preorder, None)
+                        expect_pos, expect_neg = _reference_columns(d, image_id, n, preorder)
+                        assert np.array_equal(pos, expect_pos), (views, images, n, preorder)
+                        assert np.array_equal(neg, expect_neg), (views, images, n, preorder)
+
+
+def test_select_groups_takes_every_negative_once_and_no_own_view():
+    rng = np.random.default_rng(58)
+    for views in (2, 3):
+        image_id, d = _tie_heavy_layout(rng, 5, views)
+        batch = bp.ViewBatch(np.ones((5 * views, 2)), image_id, views)
+        for n in (4 * views, 4 * views + 1, 100):
+            for preorder in (True, False):
+                _, neg = bp._select_groups(batch, d, n, False, preorder, None)
+                assert neg.shape == (5 * views, 4 * views)
+                for a, row in enumerate(neg):
+                    assert sorted(row.tolist()) == np.flatnonzero(image_id != image_id[a]).tolist()
+
+
+def test_random_negatives_draw_the_reference_stream():
+    # one uniform per (anchor, negative), argsorted per row; the first N
+    # picks, in batch order, index the anchor's negatives in batch order
+    rng = np.random.default_rng(59)
+    for views in (2, 3):
+        image_id, d = _tie_heavy_layout(rng, 4, views)
+        batch = bp.ViewBatch(np.ones((4 * views, 2)), image_id, views)
+        for preorder in (True, False):
+            draws, reference = np.random.default_rng(60), np.random.default_rng(60)
+            pos, neg = bp._select_groups(batch, d, 5, True, preorder, draws)
+            other = np.array([np.flatnonzero(image_id != i) for i in image_id])
+            picks = np.sort(np.argsort(reference.random(other.shape), axis=1)[:, :5], axis=1)
+            expect = np.take_along_axis(other, picks, axis=1)
+            if preorder:
+                expect = np.array([sorted(row, key=lambda j, a=a: (d[a, j], j)) for a, row in enumerate(expect)])
+            assert np.array_equal(neg, expect)
+            assert np.array_equal(pos, _reference_columns(d, image_id, 1, preorder)[0])
+            assert draws.random() == reference.random()  # the same number of draws
+
+
 def _oracle_groups(unit, image_id, anchor, num_negatives, preorder):
     """One anchor's groups from explicit loops: negatives are the smallest
     distances, lower view first on ties; pre-ordering sorts by (distance,

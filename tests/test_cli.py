@@ -236,9 +236,9 @@ def test_gradcheck_passes_in_process(capsys):
 
 
 def test_gradcheck_corrupted_vjp_fails(monkeypatch, capsys):
-    # the arctan swap derivative lives in the sorting-network op's rule
-    real = dg.VJP_RULES["sort_matrix"]
-    monkeypatch.setitem(dg.VJP_RULES, "sort_matrix", lambda node, g: (real(node, g)[0] * 0.5,))
+    # the arctan swap derivative lives in the border-mass op's rule
+    real = dg.VJP_RULES["border_mass"]
+    monkeypatch.setitem(dg.VJP_RULES, "border_mass", lambda node, g: (real(node, g)[0] * 0.5,))
     rc = gcli.main(["gradcheck", "--kmax", "1", "--nmax", "2", "--betas", "1", "--seed", "3"])
     out = capsys.readouterr().out
     assert rc == 1

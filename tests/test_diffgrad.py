@@ -54,6 +54,7 @@ def test_record_supports_every_op_kind():
         "index_select": lambda: dg.index_select(v, np.array([1, 0])),
         "stop_grad": lambda: dg.stop_grad(v),
         "sort_matrix": lambda: sc.sort_matrix(m, 1.0),
+        "border_mass": lambda: sc.border_mass(m, 1, 1.0),
     }
     assert set(calls) == set(dg.VJP_RULES)
     for kind, call in calls.items():
@@ -166,6 +167,7 @@ def _single_op_cases():
         ),
         ("transpose", lambda t, x: dg.sum(dg.mul(dg.transpose(x), m32)), m23.copy()),
         ("sort_matrix", lambda t, x: dg.sum(dg.mul(sc.sort_matrix(x, 1.5), w233)), m23.copy()),
+        ("border_mass", lambda t, x: dg.sum(dg.mul(sc.border_mass(x, 2, 1.5), m32.T)), m23.copy()),
     ]
 
 

@@ -72,6 +72,14 @@ def test_knn_predict_validation():
         ev.knn_predict(np.ones((0, 2)), np.array([]), [1.0, 1.0], 1)
 
 
+def test_knn_rejects_query_width_mismatch():
+    train, labels = np.ones((5, 3)), np.arange(5)
+    with pytest.raises(ValueError, match="width"):
+        ev.knn_predict(train, labels, [1.0, 1.0], 1)
+    with pytest.raises(ValueError, match="width"):
+        ev.knn_accuracy(train, labels, np.ones((4, 2)), np.zeros(4), 1)
+
+
 def test_knn_accuracy_self_train_is_perfect():
     rng = np.random.default_rng(71)
     x, y = _clusters(rng, [np.array([3.0, 0.0]), np.array([0.0, 3.0])], 20)

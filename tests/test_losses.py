@@ -149,6 +149,27 @@ def test_groco_differentiable_through_tape():
     assert grads[1] < 0 and grads[2] < 0
 
 
+def test_groco_saturated_swaps_reach_the_clamp_with_zero_gradient():
+    # at beta=64 a gap of 1e6 leaves each swap within ~5e-9 of hard, so every
+    # mass lies past the clamp: correct order costs -log(1 - eps) per term;
+    # in the wrong order the positive and the first negative trade places,
+    # and their four terms cost -log(eps) or -log(1 - (1 - eps))
+    eps = ls.BCE_EPSILON
+    params = GroCoParams(beta=64.0)
+    swapped = math.log(eps) + math.log(1.0 - (1.0 - eps))
+    cases = (
+        ([0.0], [1e6, 2e6, 3e6], -math.log(1.0 - eps)),
+        ([5e6], [0.0, 1e6, 2e6], -(swapped + 2.0 * math.log(1.0 - eps)) / 4.0),
+    )
+    for d_pos, d_neg, expect in cases:
+        assert abs(ls.groco_loss(d_pos, d_neg, params) - expect) < 1e-12
+        assert abs(oracle_groco(d_pos, d_neg, 64.0) - expect) < 1e-12
+        tape = dg.Tape()
+        d = tape.variable(d_pos + d_neg)
+        loss = ls.groco_loss(dg.index_select(d, np.array([0])), dg.index_select(d, np.array([1, 2, 3])), params)
+        assert np.array_equal(dg.backward(tape, loss).grad(d), np.zeros(4))
+
+
 def test_sorting_supervision_identity_target():
     p = np.eye(3)
     q = np.eye(3)

@@ -186,6 +186,56 @@ def test_sort_matrix_gradient_matches_central_differences():
             assert report.passed, f"n={n} beta={beta}: rel error {report.max_rel_error:.3e}"
 
 
+def _place_counts(n):
+    return sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1)))
+
+
+def test_border_mass_matches_sort_matrix_column_sums():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 5, 11, 31, 64):
+        for beta in (0.5, 1.0, 4.0, 64.0):
+            rows = _tied_batch(rng, n)
+            p = sc.sort_matrix(rows, beta)
+            for k in _place_counts(n):
+                mass = sc.border_mass(rows, k, beta)
+                assert mass.shape == (4, n)
+                assert np.max(np.abs(mass - p[:, :k, :].sum(axis=1))) < 1e-12, (n, beta, k)
+                assert np.array_equal(sc.border_mass(rows[2], k, beta), mass[2])
+
+
+def test_border_mass_gradient_matches_central_differences():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 11):
+        for beta in (0.5, 4.0):
+            rows = _tied_batch(rng, n)
+            weights = rng.uniform(-1.0, 1.0, (4, n))
+            for k in _place_counts(n):
+                # h=1e-5: some coordinates are ~1e-6, where h=1e-6 leaves too much roundoff
+                report = dg.grad_check(
+                    lambda t, x: dg.sum(dg.mul(sc.border_mass(x, k, beta), weights)), rows, h=1e-5, tol=1e-5
+                )
+                assert report.passed, f"n={n} beta={beta} k={k}: rel error {report.max_rel_error:.3e}"
+
+
+def test_border_mass_gradient_equals_sort_matrix_gradient():
+    # the same weights on the first k rows of P give the same function
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 5, 11, 31):
+        for beta in (0.5, 4.0, 64.0):
+            rows = _tied_batch(rng, n)
+            weights = rng.uniform(-1.0, 1.0, (4, n))
+            for k in _place_counts(n):
+                on_p = np.zeros((4, n, n))
+                on_p[:, :k, :] = weights[:, None, :]
+                grads = []
+                for op, w in ((lambda x: sc.border_mass(x, k, beta), weights),
+                              (lambda x: sc.sort_matrix(x, beta), on_p)):
+                    tape = dg.Tape()
+                    x = tape.variable(rows)
+                    grads.append(dg.backward(tape, dg.sum(dg.mul(op(x), w))).grad(x))
+                assert np.max(np.abs(grads[0] - grads[1])) < 1e-12, (n, beta, k)
+
+
 def test_diff_sort_doubly_stochastic_and_sum_conserving():
     rng = np.random.default_rng(6)
     betas = [0.5, 1.0, 2.0, 10.0]
@@ -271,3 +321,17 @@ def test_diff_sort_rejects_bad_input():
         sc.diff_sort(np.ones((2, 2)), 1.0)
     with pytest.raises(ValueError):
         sc.sort_matrix(np.ones((2, 2, 2)), 1.0)
+
+
+def test_border_mass_rejects_bad_input():
+    with pytest.raises(ValueError):
+        sc.border_mass([], 0, 1.0)
+    with pytest.raises(ValueError):
+        sc.border_mass([1.0, math.inf], 1, 1.0)
+    with pytest.raises(ValueError):
+        sc.border_mass([1.0, 2.0], 1, 0.0)
+    with pytest.raises(ValueError):
+        sc.border_mass(np.ones((2, 2, 2)), 1, 1.0)
+    for k in (-1, 3):
+        with pytest.raises(ValueError):
+            sc.border_mass([1.0, 2.0], k, 1.0)
