@@ -3,11 +3,12 @@
 Every view in a batch serves once as the anchor: its positives are the other
 views of the same image, its negatives the views of all other images. Both
 groups are hard index selections (top-N strongest negatives, ascending
-pre-ordering), made for all anchors at once as one row per anchor, so
-gradients route only through the selected entries. With
-stop-gradient on (the default), distances are computed against detached
-non-anchor projections and the loss gradient reaches only each anchor's own
-projection.
+pre-ordering), made for all anchors at once as one row per anchor. The
+distance matrix is computed as plain numpy; only the selected (A, m - 1 + N)
+block is recorded, as one tape op whose hand-written gradient routes through
+the selected entries alone. Stop-gradient (the default) lives in that
+gradient: the other views count as constants, so the loss gradient reaches
+only each anchor's own projection.
 
 Projections may be a plain array (losses come back as floats) or a
 `diffgrad.Tensor` (losses are recorded scalars).
@@ -135,23 +136,6 @@ def select_top_negatives(d_all, num_negatives: int) -> np.ndarray:
     return _ascending(rows, cols).reshape(d.shape[:-1] + (k,))
 
 
-def _normalized_rows(projections):
-    raw = _raw2d(projections)
-    norms = np.sqrt(np.sum(np.square(raw), axis=1))
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise NumericError(f"zero-norm projection for view {int(bad[0])}")
-    return dg.div(projections, dg.l2norm(projections, axis=1, keepdims=True))
-
-
-def _distance_matrix(batch: ViewBatch, use_stop_grad: bool):
-    """All pairwise negative cosine similarities; row = anchor, column = other.
-    With stop-gradient the column factor is detached."""
-    xn = _normalized_rows(batch.projections)
-    others = dg.stop_grad(xn) if use_stop_grad else xn
-    return dg.scale(dg.matmul(xn, dg.transpose(others)), -1.0)
-
-
 def _ascending(raw: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Each row of `cols` reordered by ascending distance; equal distances
     keep their order in `cols`, which arrives ascending by column on ties."""
@@ -169,11 +153,10 @@ def _own_image_columns(batch: ViewBatch) -> np.ndarray:
 
 
 def _select_groups(
-    batch: ViewBatch, distances, num_negatives: int, random_negatives: bool, preorder: bool, rng
+    batch: ViewBatch, raw: np.ndarray, num_negatives: int, random_negatives: bool, preorder: bool, rng
 ):
     """Columns of every anchor's positives (A, m - 1) and negatives (A, N)
-    in the distance matrix, one row per anchor."""
-    raw = distances.data if isinstance(distances, Tensor) else distances
+    in the distance matrix `raw`, one row per anchor."""
     own = _own_image_columns(batch)
     rows = np.arange(batch.num_views)[:, None]
     pos = own[own != rows].reshape(batch.num_views, -1)
@@ -198,6 +181,66 @@ def _select_groups(
     return (_ascending(raw, pos) if preorder else pos), neg
 
 
+def _vjp_selected_distances(node, g):
+    """Scatter the block's gradient into a dense (A, A) matrix G over the
+    distances d = -x_hat x_hat^T. The anchor side gets -G x_hat and, without
+    stop-gradient, the other side -G^T x_hat; the row normalization then
+    maps each row's gradient h to (h - x_hat <h, x_hat>) / |x|."""
+    unit, norms, cols = node.attrs["unit"], node.attrs["norms"], node.attrs["cols"]
+    dense = np.zeros((unit.shape[0],) * 2)
+    dense[np.arange(unit.shape[0])[:, None], cols] = g
+    if not node.attrs["stop_grad"]:
+        dense += dense.T
+    h = dense @ unit
+    np.negative(h, out=h)
+    h -= unit * np.sum(h * unit, axis=1, keepdims=True)
+    return (h / norms,)
+
+
+dg.VJP_RULES["selected_distances"] = _vjp_selected_distances
+
+
+def _selected_distances(
+    batch: ViewBatch, num_negatives: int, stop_grad: bool, random_negatives: bool, preorder: bool, rng
+):
+    """Every anchor's selected distances as one (A, m - 1 + N) block, the
+    positives first, plus the positive (A, m - 1) and negative (A, N)
+    columns they come from.
+
+    The full distance matrix is computed plainly, since the top-N selection
+    reads every row, and only the gathered block is recorded: one op whose
+    gradient reaches the projections through the selected entries alone.
+    """
+    raw = _raw2d(batch.projections)
+    norms = np.sqrt(np.sum(np.square(raw), axis=1, keepdims=True))
+    bad = np.flatnonzero(norms == 0.0)
+    if bad.size:
+        raise NumericError(f"zero-norm projection for view {int(bad[0])}")
+    unit = raw / norms
+    distances = unit @ np.ascontiguousarray(unit.T)
+    np.negative(distances, out=distances)
+    pos, neg = _select_groups(batch, distances, num_negatives, random_negatives, preorder, rng)
+    cols = np.concatenate([pos, neg], axis=1)
+    block = np.take_along_axis(distances, cols, axis=1)
+    if isinstance(batch.projections, Tensor):
+        block = batch.projections.tape._append(
+            "selected_distances", (batch.projections,), block,
+            unit=unit, norms=norms, cols=cols, stop_grad=stop_grad,
+        )
+    return block, pos, neg
+
+
+def _split(block, num_positives: int, rows):
+    """The positive and the negative columns of the given block rows: one
+    row index gives 1-D groups, an index array one group row per index."""
+    width = block.shape[1]
+    starts = width * np.asarray(rows)[..., None]
+    return (
+        dg.index_select(block, starts + np.arange(num_positives), assume_unique=True),
+        dg.index_select(block, starts + np.arange(num_positives, width), assume_unique=True),
+    )
+
+
 def build_anchor_group(
     batch: ViewBatch,
     anchor_index: int,
@@ -214,13 +257,9 @@ def build_anchor_group(
         raise ValueError(f"anchor_index out of range: {anchor_index}")
     if num_negatives < 1:
         raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
-    d = _distance_matrix(batch, stop_grad)
-    pos, neg = _select_groups(batch, d, num_negatives, random_negatives, preorder, rng)
-    row_start = anchor_index * batch.num_views
-    pos, neg = pos[anchor_index], neg[anchor_index]
-    return AnchorGroup(
-        anchor_index, dg.index_select(d, row_start + pos), dg.index_select(d, row_start + neg), pos, neg
-    )
+    block, pos, neg = _selected_distances(batch, num_negatives, stop_grad, random_negatives, preorder, rng)
+    d_pos, d_neg = _split(block, pos.shape[1], anchor_index)
+    return AnchorGroup(anchor_index, d_pos, d_neg, pos[anchor_index], neg[anchor_index])
 
 
 def batch_loss(
@@ -262,14 +301,12 @@ def batch_loss(
             raise ValueError("triplet loss requires TripletParams")
         effective_n = num_negatives or 10
 
-    d = _distance_matrix(batch, stop_grad)
-    pos, neg = _select_groups(batch, d, effective_n, random_negatives, preorder, rng)
-    row_start = batch.num_views * np.arange(batch.num_views)[:, None]
-    d_pos, d_neg = dg.index_select(d, row_start + pos), dg.index_select(d, row_start + neg)
+    block, pos, neg = _selected_distances(batch, effective_n, stop_grad, random_negatives, preorder, rng)
+    if loss_kind == "groco" and not preorder:
+        return losses.group_loss_from_concat(block, pos.shape[1], params.beta)
+    d_pos, d_neg = _split(block, pos.shape[1], np.arange(batch.num_views))
     if loss_kind == "groco":
-        if preorder:
-            return losses.groco_loss(d_pos, d_neg, params)
-        return losses.group_loss_from_concat(dg.concat([d_pos, d_neg]), pos.shape[1], params.beta)
+        return losses.groco_loss(d_pos, d_neg, params)
     if loss_kind == "infonce":
         return losses.infonce_loss(d_pos, d_neg, params)
     return losses.triplet_loss(d_pos, d_neg, params)

@@ -144,10 +144,11 @@ def cmd_eval(args) -> int:
         meta={"ckpt": str(args.ckpt), "data": str(args.data), "seed": str(args.seed)},
     )
     if args.mode == "knn":
-        for k in [int(k) for k in _parse_floats(args.k, "--k")]:
-            report.knn_accuracies[k] = evals.knn_accuracy(
-                train_embeds, train_ds.labels, test_embeds, test_ds.labels, k, args.weight_tau
-            )
+        ks = [int(k) for k in _parse_floats(args.k, "--k")]
+        report.knn_accuracies = evals.knn_accuracies(
+            train_embeds, train_ds.labels, test_embeds, test_ds.labels, ks, args.weight_tau
+        )
+        for k in ks:
             print(f"knn k={k} space={report.space} accuracy={report.knn_accuracies[k]:.6f}")
     else:
         report.linear_probe_accuracy = evals.linear_probe(

@@ -11,8 +11,9 @@ Gradients come from `backward(tape, loss)`, which replays the tape in
 reverse, applying one vector-Jacobian product rule per node. The rules live
 in the module-level `VJP_RULES` table so tests can install a corrupted rule
 as a negative control. An op whose forward lives in another module of the
-package (the relaxed sorting network in `sortcore`) records itself with
-`Tape._append` and adds its rule to this table beside its forward.
+package (the relaxed sorting network in `sortcore`, the selected distances
+in `batchpipe`) records itself with `Tape._append` and adds its rule to this
+table beside its forward.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ __all__ = [
     "EvalReport",
     "ToyTrajectory",
     "knn_predict",
+    "knn_accuracies",
     "knn_accuracy",
     "linear_probe",
     "toy_dynamics",
@@ -50,30 +51,37 @@ def _unit_rows(x, what: str) -> np.ndarray:
     return arr / norms
 
 
-def _knn_predictions(train_embeds, train_labels, queries, k: int, weight_tau: float) -> np.ndarray:
-    """Predicted class of each query row; see `knn_predict` for the rules."""
+def _knn_predictions(train_embeds, train_labels, queries, ks, weight_tau: float) -> dict[int, np.ndarray]:
+    """Predicted class of each query row for every k in `ks`; see
+    `knn_predict` for the rules. One similarity matmul and one stable top-k
+    at the largest k serve every k: a stable order's first k entries are the
+    order at k, so each smaller k reads a prefix of the same votes."""
     train_labels = np.asarray(train_labels)
     train = _unit_rows(train_embeds, "train_embeds")
     if train_labels.shape != (train.shape[0],):
         raise ValueError("train_labels must provide one label per embedding")
     if train.shape[0] < 1:
         raise ValueError("empty train set")
-    if not (1 <= k <= train.shape[0]):
-        raise ValueError(f"k must be in 1..{train.shape[0]}, got {k}")
+    for k in ks:
+        if not (1 <= k <= train.shape[0]):
+            raise ValueError(f"k must be in 1..{train.shape[0]}, got {k}")
     queries = _unit_rows(queries, "query")
     if queries.shape[1] != train.shape[1]:
         raise ValueError(f"query width {queries.shape[1]} differs from train width {train.shape[1]}")
     distances = queries @ train.T
     np.negative(distances, out=distances)  # in place: no second (Q, N) array
-    nearest = batchpipe.select_top_negatives(distances, k)
+    nearest = batchpipe.select_top_negatives(distances, max(ks))
     classes, label_index = np.unique(train_labels, return_inverse=True)
     votes = label_index[nearest]
     weights = np.exp(-np.take_along_axis(distances, nearest, axis=1) / weight_tau)
     scores = np.zeros((distances.shape[0], classes.size))
     rows = np.arange(distances.shape[0])
-    for j in range(k):  # add the votes in neighbour order
+    predictions = {}
+    for j in range(nearest.shape[1]):  # add the votes in neighbour order
         scores[rows, votes[:, j]] += weights[:, j]
-    return classes[np.argmax(scores, axis=1)]
+        if j + 1 in ks:
+            predictions[j + 1] = classes[np.argmax(scores, axis=1)]
+    return predictions
 
 
 def knn_predict(train_embeds, train_labels, query, k: int, weight_tau: float = KNN_WEIGHT_TAU) -> int:
@@ -83,7 +91,29 @@ def knn_predict(train_embeds, train_labels, query, k: int, weight_tau: float = K
     for its class; neighbor ties break toward the lower index and class-score
     ties toward the smaller class id.
     """
-    return int(_knn_predictions(train_embeds, train_labels, query, k, weight_tau)[0])
+    return int(_knn_predictions(train_embeds, train_labels, query, (k,), weight_tau)[k][0])
+
+
+def knn_accuracies(
+    train_embeds,
+    train_labels,
+    test_embeds,
+    test_labels,
+    ks,
+    weight_tau: float = KNN_WEIGHT_TAU,
+) -> dict[int, float]:
+    """Fraction of test points whose weighted k-NN vote matches their label,
+    for every k in `ks`, from one neighbour search at the largest k. Each
+    value equals `knn_accuracy` at that k."""
+    ks = [int(k) for k in ks]
+    if not ks:
+        raise ValueError("ks must name at least one k")
+    test_labels = np.asarray(test_labels)
+    test = np.asarray(test_embeds, dtype=np.float64)
+    if test.ndim != 2 or test_labels.shape != (test.shape[0],):
+        raise ValueError("test embeddings/labels mismatch")
+    predicted = _knn_predictions(train_embeds, train_labels, test, ks, weight_tau)
+    return {k: float(np.mean(predicted[k] == test_labels)) for k in ks}
 
 
 def knn_accuracy(
@@ -95,12 +125,7 @@ def knn_accuracy(
     weight_tau: float = KNN_WEIGHT_TAU,
 ) -> float:
     """Fraction of test points whose weighted k-NN vote matches their label."""
-    test_labels = np.asarray(test_labels)
-    test = np.asarray(test_embeds, dtype=np.float64)
-    if test.ndim != 2 or test_labels.shape != (test.shape[0],):
-        raise ValueError("test embeddings/labels mismatch")
-    predicted = _knn_predictions(train_embeds, train_labels, test, k, weight_tau)
-    return float(np.mean(predicted == test_labels))
+    return knn_accuracies(train_embeds, train_labels, test_embeds, test_labels, (k,), weight_tau)[int(k)]
 
 
 def linear_probe(

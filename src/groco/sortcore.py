@@ -12,7 +12,9 @@ at once:
 - `border_mass` returns only each input's mass in the first k sorted places,
   s^T P for the indicator s of those places. It runs the network on the
   values alone and pushes s back through the steps, in O(n^2) per row. The
-  group-ordering loss uses it.
+  group-ordering loss uses it. Internally it works place-major, on (n, A)
+  copies of the rows, so each step's compared places are whole contiguous
+  rows of A values.
 - `sort_matrix` returns the full permutation matrix P, in O(n^3) per row.
   `diff_sort`, sorting supervision and `groco sort` use it, and it is the
   reference `border_mass` is tested against.
@@ -270,33 +272,34 @@ def sort_matrix(values, beta: float):
 
 
 def _value_chain(values: np.ndarray, beta: float):
-    """Run the relaxed network on the running values of every row of
-    `values` (A, n) alone. Returns, per step with at least one pair,
-    (first index, end index, stay, v_i - v_j) with the values entering the
-    step; these are the same stays `_network` computes."""
+    """Run the relaxed network on the running values of every column of the
+    place-major `values` (n, A) alone. Returns, per step with at least one
+    pair, (first place, end place, stay, v_i - v_j) with the values entering
+    the step; these are the same stays `_network` computes. The caller's
+    array is not written to."""
     v = values.copy()
-    n = v.shape[1]
+    n = v.shape[0]
     steps = []
     for step in range(1, n + 1):
         pairs = _step_pairs(n, step)
         if not pairs:
             continue
         lo, hi = pairs[0][0], pairs[-1][1] + 1
-        stay = np.arctan(-beta * (v[:, lo:hi:2] - v[:, lo + 1 : hi : 2])) * _INV_PI + 0.5
+        stay = np.arctan(-beta * (v[lo:hi:2] - v[lo + 1 : hi : 2])) * _INV_PI + 0.5
         steps.append((lo, hi, stay, _swap_step(v, lo, hi, stay)))
     return steps
 
 
 def _swap_step(x: np.ndarray, lo: int, hi: int, stay: np.ndarray) -> np.ndarray:
-    """Apply one step's symmetric swap block to the columns of `x` (A, n) in
-    place: x_i, x_j <- stay * x_i + (1 - stay) * x_j and its mirror image.
+    """Apply one step's symmetric swap block to the place rows of `x` (n, A)
+    in place: x_i, x_j <- stay * x_i + (1 - stay) * x_j and its mirror image.
     Returns x_i - x_j from before the step."""
-    top, bottom = x[:, lo:hi:2], x[:, lo + 1 : hi : 2]
+    top, bottom = x[lo:hi:2], x[lo + 1 : hi : 2]
     gap = top - bottom
     shift = stay * gap
     new_top = bottom + shift
-    x[:, lo + 1 : hi : 2] = top - shift
-    x[:, lo:hi:2] = new_top
+    x[lo + 1 : hi : 2] = top - shift
+    x[lo:hi:2] = new_top
     return gap
 
 
@@ -310,16 +313,16 @@ def _vjp_border_mass(node, g):
     beta = node.attrs["beta"]
     steps, w_gaps = node.attrs["steps"], node.attrs["w_gaps"]
     n = x.shape[-1]
-    u = np.array(g, dtype=np.float64).reshape(-1, n)
+    u = np.array(np.reshape(g, (-1, n)).T, dtype=np.float64, order="C")  # a place-major copy
     g_stays = [_swap_step(u, lo, hi, stay) * w_gap for (lo, hi, stay, _), w_gap in zip(steps, w_gaps)]
     a = np.zeros_like(u)
     for (lo, hi, stay, gap), g_stay in zip(reversed(steps), reversed(g_stays)):
         g_stay += _swap_step(a, lo, hi, stay) * gap
         # d stay / d(v_j - v_i), with v_j - v_i = -gap
         g_gap = g_stay * (beta * _INV_PI) / (1.0 + np.square(beta * gap))
-        a[:, lo + 1 : hi : 2] += g_gap
-        a[:, lo:hi:2] -= g_gap
-    return (a.reshape(x.shape),)
+        a[lo + 1 : hi : 2] += g_gap
+        a[lo:hi:2] -= g_gap
+    return (np.ascontiguousarray(a.T).reshape(x.shape),)
 
 
 dg.VJP_RULES["border_mass"] = _vjp_border_mass
@@ -341,12 +344,12 @@ def border_mass(values, num_positives: int, beta: float):
     k = int(num_positives)
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= num_positives <= {n}, got {k}")
-    steps = _value_chain(arr.reshape(-1, n), beta)
-    w = np.zeros((arr.size // n, n), dtype=np.float64)
-    w[:, :k] = 1.0
+    steps = _value_chain(arr.reshape(-1, n).T, beta)
+    w = np.zeros((n, arr.size // n), dtype=np.float64)
+    w[:k] = 1.0
     # P = S_T ... S_1 with symmetric S_t, so s^T P = S_1 ... S_T s
     w_gaps = [_swap_step(w, lo, hi, stay) for lo, hi, stay, _ in reversed(steps)][::-1]
-    mass = w.reshape(arr.shape)
+    mass = np.ascontiguousarray(w.T).reshape(arr.shape)
     if isinstance(values, Tensor):
         return values.tape._append("border_mass", (values,), mass, beta=beta, steps=steps, w_gaps=w_gaps)
     return mass

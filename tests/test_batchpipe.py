@@ -447,3 +447,117 @@ def test_batch_loss_matches_per_anchor_oracles_with_ties():
                     got = bp.batch_loss(batch, kind, params, num_negatives=count, stop_grad=stop_grad,
                                         preorder=preorder)
                     assert abs(float(got.data) - expect) < 1e-12, (kind, preorder, stop_grad)
+
+
+def _dense_chain_loss(batch, kind, params, count, stop_grad, preorder, rng):
+    """`batch_loss` as it was built from public ops before the selected-
+    distances op: normalized rows, the full (A, A) distance matrix on the
+    tape, and one gather each for the positives and the negatives."""
+    x = batch.projections
+    unit = dg.div(x, dg.l2norm(x, axis=1, keepdims=True))
+    others = dg.stop_grad(unit) if stop_grad else unit
+    d = dg.scale(dg.matmul(unit, dg.transpose(others)), -1.0)
+    pos, neg = bp._select_groups(batch, d.data, count, rng is not None, preorder, rng)
+    row_start = batch.num_views * np.arange(batch.num_views)[:, None]
+    d_pos, d_neg = dg.index_select(d, row_start + pos), dg.index_select(d, row_start + neg)
+    if kind == "groco":
+        if preorder:
+            return ls.groco_loss(d_pos, d_neg, params)
+        return ls.group_loss_from_concat(dg.concat([d_pos, d_neg]), pos.shape[1], params.beta)
+    if kind == "infonce":
+        return ls.infonce_loss(d_pos, d_neg, params)
+    return ls.triplet_loss(d_pos, d_neg, params)
+
+
+def test_selected_distances_match_the_dense_chain():
+    rng = np.random.default_rng(61)
+    for views, images in ((2, 6), (3, 4)):
+        raw = rng.normal(size=(views * images, 5))
+        image_id = rng.permutation(np.repeat(np.arange(images), views))
+        all_negatives = views * (images - 1)
+        cases = (
+            ("groco", GroCoParams(beta=1.5, num_positives=views - 1, num_negatives=4), 4),
+            ("infonce", InfoNCEParams(tau=0.3), all_negatives),
+            ("triplet", TripletParams(margin=0.8), 3),
+        )
+        for kind, params, count in cases:
+            for stop_grad in (True, False):
+                for preorder in (True, False):
+                    for random_negatives in (False, True):
+                        results = []
+                        for build in (
+                            lambda b, r: bp.batch_loss(b, kind, params, num_negatives=count, stop_grad=stop_grad,
+                                                       preorder=preorder, random_negatives=random_negatives, rng=r),
+                            lambda b, r: _dense_chain_loss(b, kind, params, count, stop_grad, preorder, r),
+                        ):
+                            tape = Tape()
+                            batch = bp.ViewBatch(tape.variable(raw), image_id, views)
+                            loss = build(batch, np.random.default_rng(62) if random_negatives else None)
+                            results.append((float(loss.data), dg.backward(tape, loss).grad(batch.projections)))
+                        (got, g_got), (expect, g_expect) = results
+                        case = (views, kind, stop_grad, preorder, random_negatives)
+                        assert got == expect, case
+                        assert np.max(np.abs(g_got - g_expect)) <= 1e-14 * np.max(np.abs(g_expect)), case
+
+
+def test_selected_distances_gradient_matches_central_differences():
+    # without stop-gradient the op's gradient is the derivative of its output
+    rng = np.random.default_rng(63)
+    for views, images, count, random_negatives, preorder in (
+        (2, 4, 3, False, True),
+        (3, 3, 4, False, False),
+        (2, 4, 2, True, True),
+        (3, 3, 6, False, True),
+    ):
+        raw = rng.normal(size=(views * images, 3))
+        image_id = np.repeat(np.arange(images), views)
+        weights = rng.uniform(-1.0, 1.0, (views * images, views - 1 + count))
+
+        def fn(tape, x):
+            draws = np.random.default_rng(64) if random_negatives else None
+            block, _, _ = bp._selected_distances(
+                bp.ViewBatch(x, image_id, views), count, False, random_negatives, preorder, draws
+            )
+            return dg.sum(dg.mul(block, weights))
+
+        report = dg.grad_check(fn, raw, h=1e-6, tol=1e-6)
+        assert report.passed, (views, count, random_negatives, preorder, report.max_rel_error)
+
+
+def test_stop_grad_gives_exact_zero_rows_to_views_no_loss_anchors_on():
+    rng = np.random.default_rng(65)
+    raw = rng.normal(size=(8, 4))
+    image_id = np.repeat(np.arange(4), 2)
+    anchors = np.array([1, 6])
+    for stop_grad in (True, False):
+        tape = Tape()
+        batch = bp.ViewBatch(tape.variable(raw), image_id, 2)
+        block, pos, neg = bp._selected_distances(batch, 3, stop_grad, False, True, None)
+        rows = block.shape[1] * anchors[:, None] + np.arange(block.shape[1])
+        loss = dg.sum(dg.mul(dg.index_select(block, rows), rng.uniform(0.5, 1.0, rows.shape)))
+        grads = dg.backward(tape, loss).grad(batch.projections)
+        touched = set(np.flatnonzero(np.any(grads != 0.0, axis=1)).tolist())
+        if stop_grad:
+            assert touched == set(anchors.tolist())
+        else:
+            columns = set(np.concatenate([pos[anchors], neg[anchors]], axis=None).tolist())
+            assert touched == set(anchors.tolist()) | columns
+
+
+def test_selected_distances_never_write_to_the_projections():
+    rng = np.random.default_rng(66)
+    raw = rng.normal(size=(6, 4))
+    kept = raw.copy()
+    image_id = np.repeat(np.arange(3), 2)
+    for stop_grad in (True, False):
+        block, _, _ = bp._selected_distances(bp.ViewBatch(raw, image_id, 2), 3, stop_grad, False, True, None)
+        assert np.array_equal(raw, kept) and not np.shares_memory(block, raw)
+        tape = Tape()
+        x = tape.variable(raw)
+        bp._selected_distances(bp.ViewBatch(x, image_id, 2), 3, stop_grad, False, True, None)
+        node = tape.nodes[-1]
+        g = rng.normal(size=node.output.shape)
+        g_kept = g.copy()
+        (grad,) = dg.VJP_RULES["selected_distances"](node, g)
+        assert np.array_equal(g, g_kept) and np.array_equal(x.data, kept) and np.array_equal(raw, kept)
+        assert grad.shape == raw.shape

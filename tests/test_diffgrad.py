@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from groco import batchpipe as bp
 from groco import diffgrad as dg
 from groco import sortcore as sc
 from groco.diffgrad import NumericError, Tape, Tensor
@@ -37,6 +38,7 @@ def test_record_supports_every_op_kind():
     tape = Tape()
     v = tape.variable([0.5, 1.5])
     m = tape.variable([[1.0, 2.0], [3.0, 4.0]])
+    views = bp.ViewBatch(tape.variable([[1.0, 0.0], [0.8, 0.6], [0.0, 1.0], [-1.0, 0.5]]), [0, 0, 1, 1], 2)
     calls = {
         "add": lambda: dg.add(v, v),
         "sub": lambda: dg.sub(v, v),
@@ -55,6 +57,7 @@ def test_record_supports_every_op_kind():
         "stop_grad": lambda: dg.stop_grad(v),
         "sort_matrix": lambda: sc.sort_matrix(m, 1.0),
         "border_mass": lambda: sc.border_mass(m, 1, 1.0),
+        "selected_distances": lambda: bp._selected_distances(views, 2, True, False, True, None)[0],
     }
     assert set(calls) == set(dg.VJP_RULES)
     for kind, call in calls.items():

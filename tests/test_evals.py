@@ -56,9 +56,14 @@ def test_knn_accuracy_duplicated_train_rows_at_the_k_boundary():
     labels = rng.integers(0, 3, train.shape[0])  # copies of a row disagree
     queries = np.concatenate([base[:6], rng.integers(-2, 3, (14, 3)).astype(float) + 0.5])
     truth = rng.integers(0, 3, queries.shape[0])
-    for k in (1, 2, 3, 4, 5, 7, 8, train.shape[0] - 1, train.shape[0]):
+    ks = (1, 2, 3, 4, 5, 7, 8, train.shape[0] - 1, train.shape[0])
+    # one neighbour search at the largest k serves every k, in any order
+    together = ev.knn_accuracies(train, labels, queries, truth, ks[::-1] + (4,))
+    assert list(together) == list(ks[::-1])
+    for k in ks:
         hits = sum(oracle_knn_predict(train, labels, q, k, 0.07) == t for q, t in zip(queries, truth))
         assert ev.knn_accuracy(train, labels, queries, truth, k) == hits / queries.shape[0]
+        assert together[k] == hits / queries.shape[0]
 
 
 def test_knn_predict_validation():
@@ -70,6 +75,10 @@ def test_knn_predict_validation():
         ev.knn_predict(train, labels, [1.0, 1.0], 4)
     with pytest.raises(ValueError):
         ev.knn_predict(np.ones((0, 2)), np.array([]), [1.0, 1.0], 1)
+    with pytest.raises(ValueError):
+        ev.knn_accuracies(train, labels, np.ones((2, 2)), np.zeros(2), [])
+    with pytest.raises(ValueError):
+        ev.knn_accuracies(train, labels, np.ones((2, 2)), np.zeros(2), [1, 4])
 
 
 def test_knn_rejects_query_width_mismatch():

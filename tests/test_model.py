@@ -212,6 +212,21 @@ def test_train_all_loss_kinds_complete():
         assert all(np.isfinite(v) for v in result.step_losses)
 
 
+def test_default_step_records_24_tape_nodes(monkeypatch):
+    # 10 for the two-layer encoder and head, 1 selected-distances op, 2 column
+    # gathers, 11 for the group-ordering loss
+    seen = []
+    real = md.dg.backward
+
+    def counting(tape, loss):
+        seen.append(len(tape.nodes))
+        return real(tape, loss)
+
+    monkeypatch.setattr(md.dg, "backward", counting)
+    md.train(dio.synth_generate(dio.SynthConfig(per_cluster=16)), TrainConfig(epochs=2))
+    assert seen == [24, 24]
+
+
 def test_train_ablation_flags_complete():
     ds = _tiny_dataset()
     for kw in (dict(stop_grad=False), dict(preorder=False), dict(random_negatives=True),

@@ -323,6 +323,27 @@ def test_diff_sort_rejects_bad_input():
         sc.sort_matrix(np.ones((2, 2, 2)), 1.0)
 
 
+def test_border_mass_never_writes_to_its_inputs():
+    # a (1, n) batch is already contiguous when transposed to place-major,
+    # so only a copy keeps the value chain off the caller's array
+    rng = np.random.default_rng(14)
+    for values in (rng.normal(size=7), rng.normal(size=(1, 7)), rng.normal(size=(5, 7))):
+        kept = values.copy()
+        mass = sc.border_mass(values, 3, 1.0)
+        assert np.array_equal(values, kept) and not np.shares_memory(mass, values)
+        assert sc.border_mass(values.tolist(), 3, 1.0).tolist() == mass.tolist()
+
+        tape = dg.Tape()
+        x = tape.variable(values)
+        sc.border_mass(x, 3, 1.0)
+        node = tape.nodes[-1]
+        g = rng.normal(size=values.shape)
+        g_kept = g.copy()
+        (grad,) = dg.VJP_RULES["border_mass"](node, g)
+        assert np.array_equal(g, g_kept) and np.array_equal(x.data, kept)
+        assert grad.shape == values.shape and not np.shares_memory(grad, g)
+
+
 def test_border_mass_rejects_bad_input():
     with pytest.raises(ValueError):
         sc.border_mass([], 0, 1.0)
