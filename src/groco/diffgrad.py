@@ -12,8 +12,9 @@ reverse, applying one vector-Jacobian product rule per node. The rules live
 in the module-level `VJP_RULES` table so tests can install a corrupted rule
 as a negative control. An op whose forward lives in another module of the
 package (the relaxed sorting network in `sortcore`, the selected distances
-in `batchpipe`) records itself with `Tape._append` and adds its rule to this
-table beside its forward.
+in `batchpipe`, the clamped binary cross-entropy in `losses`) records
+itself with `Tape._append` and adds its rule to this table beside its
+forward.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "mul",
     "div",
     "matmul",
-    "arctan",
     "log",
     "exp",
     "l2norm",
@@ -258,12 +258,6 @@ def matmul(a, b):
     return tape._append("matmul", (a, b), _matmul_forward(a.data, b.data))
 
 
-def arctan(x):
-    if not isinstance(x, Tensor):
-        return np.arctan(_as_array(x))
-    return x.tape._append("arctan", (x,), np.arctan(x.data))
-
-
 def log(x):
     if not isinstance(x, Tensor):
         x = _as_array(x)
@@ -412,11 +406,6 @@ def _vjp_matmul(node, g):
     return (bd @ g, np.outer(ad, g))
 
 
-def _vjp_arctan(node, g):
-    x = node.inputs[0].data
-    return (g / (1.0 + np.square(x)),)
-
-
 def _vjp_log(node, g):
     return (g / node.inputs[0].data,)
 
@@ -485,7 +474,6 @@ VJP_RULES = {
     "mul": _vjp_mul,
     "div": _vjp_div,
     "matmul": _vjp_matmul,
-    "arctan": _vjp_arctan,
     "log": _vjp_log,
     "exp": _vjp_exp,
     "sum": _vjp_sum,

@@ -120,10 +120,32 @@ def bce(p: float, q: float) -> float:
 
 
 def _bce_mean(p, targets: np.ndarray, denom: float):
-    """Mean clamped binary cross-entropy of `p` against constant targets."""
-    pt = dg.clamp(p, BCE_EPSILON, 1.0 - BCE_EPSILON)
-    ll = targets * dg.log(pt) + (1.0 - targets) * dg.log(1.0 - pt)
-    return dg.scale(dg.sum(ll), -1.0 / denom)
+    """Mean clamped binary cross-entropy of `p` against constant targets:
+    the sum of the terms over `denom`. A `diffgrad.Tensor` input is recorded
+    as one `bce_mean` op, on which the targets are a private copy."""
+    targets = np.array(targets, dtype=np.float64)
+    pt = np.clip(_raw(p), BCE_EPSILON, 1.0 - BCE_EPSILON)
+    ll = targets * np.log(pt) + (1.0 - targets) * np.log(1.0 - pt)
+    loss = np.sum(ll) * (-1.0 / denom)
+    if isinstance(p, Tensor):
+        return p.tape._append("bce_mean", (p,), loss, targets=targets, pt=pt, factor=-1.0 / denom)
+    return loss
+
+
+def _vjp_bce_mean(node, g):
+    """Gradient of the clamped terms, zero where the clamp holds p, its
+    bounds included. The forward is the clamp, log, multiply, sum and scale
+    chain written out in numpy; each term here is grouped as a tape of that
+    chain computes it, (g * t) / pt and not g * (t / pt), so the gradient is
+    bitwise the chain's too."""
+    p = node.inputs[0].data
+    t, pt = node.attrs["targets"], node.attrs["pt"]
+    g = float(g * node.attrs["factor"])
+    gp = -(g * (1.0 - t)) / (1.0 - pt) + (g * t) / pt
+    return (gp * ((p > BCE_EPSILON) & (p < 1.0 - BCE_EPSILON)),)
+
+
+dg.VJP_RULES["bce_mean"] = _vjp_bce_mean
 
 
 def _group_loss(d, num_positives: int, beta: float):

@@ -17,14 +17,17 @@ at once:
   rows of A values.
 - `sort_matrix` returns the full permutation matrix P, in O(n^3) per row.
   `diff_sort`, sorting supervision and `groco sort` use it, and it is the
-  reference `border_mass` is tested against.
+  reference `border_mass` is tested against. It moves each compared row
+  pair of [P | values] in place by the pair's swap probability, so a step
+  allocates only its row difference and the moved amount.
 
-Each accepts either a plain array (returning concrete results) or a
-`diffgrad.Tensor`, on whose tape the whole network is one op with a
-hand-written gradient. Swap probabilities at each step are computed from the running,
-partially-sorted values, i.e. the relaxation follows the sequential network
-rather than re-reading the original input; this is an interpretation choice
-and is pinned by the oracle tests.
+Each accepts either a plain array (returning concrete results and keeping
+nothing of the steps) or a `diffgrad.Tensor`, on whose tape the whole
+network is one op with a hand-written gradient. Swap probabilities at each
+step are computed from the running, partially-sorted values, i.e. the
+relaxation follows the sequential network rather than re-reading the
+original input; this is an interpretation choice and is pinned by the
+oracle tests.
 """
 
 from __future__ import annotations
@@ -172,9 +175,12 @@ def swap_matrix(n: int, i: int, j: int, d_i: float, d_j: float, beta: float) -> 
     return RelaxedPermutation(m)
 
 
-def _step_pairs(n: int, step: int) -> tuple[tuple[int, int], ...]:
-    start = 0 if step % 2 == 1 else 1
-    return tuple((i, i + 1) for i in range(start, n - 1, 2))
+def _step_span(n: int, step: int) -> tuple[int, int]:
+    """Places (lo, hi) of the 1-based `step` of an n-input network: it
+    compares (i, i + 1) for i in range(lo, hi, 2), and hi == lo when it has
+    no pair. Odd steps start at place 0, even steps at place 1."""
+    lo = 1 - step % 2
+    return lo, lo + (n - lo) // 2 * 2
 
 
 def step_matrix(values, step: int, beta: float) -> RelaxedPermutation:
@@ -191,62 +197,62 @@ def step_matrix(values, step: int, beta: float) -> RelaxedPermutation:
     if not (1 <= step <= n):
         raise ValueError(f"step must be in 1..{n}, got {step}")
     m = np.eye(n, dtype=np.float64)
-    for i, j in _step_pairs(n, step):
-        m = swap_matrix(n, i, j, arr[i], arr[j], beta).entries @ m
+    for i in range(*_step_span(n, step), 2):
+        m = swap_matrix(n, i, i + 1, arr[i], arr[i + 1], beta).entries @ m
     return RelaxedPermutation(m)
 
 
-def _network(values: np.ndarray, beta: float):
+def _network(values: np.ndarray, beta: float, keep: bool):
     """Run the relaxed network over every row of `values` (A, n) at once.
 
     The state is M = [P | v] of shape (A, n, n + 1): the permutation so far
-    and the running values. A step replaces each compared row pair (i, j)
-    by stay * row_i + (1 - stay) * row_j and its mirror image, with
-    stay = f(v_j - v_i). Returns M after all n steps and, per step with at
-    least one pair, (first row, end row, stay, row_i - row_j) for the
-    gradient.
+    and the running values. A step moves each compared row pair (i, j) in
+    place by its swap probability swap = f(v_i - v_j):
+    row_i -= swap * (row_i - row_j) and row_j += swap * (row_i - row_j).
+    Returns M after all n steps and, if `keep`, per step with at least one
+    pair, (first row, end row, swap, row_i - row_j, beta * (v_i - v_j)) for
+    the gradient; otherwise nothing is kept and the second result is None.
     """
     rows, n = values.shape
     m = np.zeros((rows, n, n + 1), dtype=np.float64)
-    m[:, np.arange(n), np.arange(n)] = 1.0
+    m.reshape(rows, -1)[:, :: n + 2] = 1.0  # the diagonal of each P
     m[:, :, n] = values
-    saved = []
+    saved = [] if keep else None
     for step in range(1, n + 1):
-        pairs = _step_pairs(n, step)
-        if not pairs:
+        lo, hi = _step_span(n, step)
+        if lo == hi:
             continue
-        lo, hi = pairs[0][0], pairs[-1][1] + 1
         top, bottom = m[:, lo:hi:2], m[:, lo + 1 : hi : 2]
         diff = top - bottom
-        stay = np.arctan(-beta * diff[..., n]) * _INV_PI + 0.5
-        shift = stay[..., None] * diff
-        new_top = bottom + shift
-        m[:, lo + 1 : hi : 2] = top - shift
-        m[:, lo:hi:2] = new_top
-        saved.append((lo, hi, stay, diff))
+        beta_gap = beta * diff[..., n]
+        swap = np.arctan(beta_gap) * _INV_PI + 0.5
+        shift = swap[..., None] * diff
+        top -= shift
+        bottom += shift
+        if keep:
+            saved.append((lo, hi, swap, diff, beta_gap))
     return m, saved
 
 
 def _vjp_sort_matrix(node, g):
     """Reverse pass through the stored steps: each step is linear in M given
-    its stay probabilities, and each stay depends on its pair's values."""
+    its swap probabilities, with the same in-place form as the forward, and
+    each swap depends on its pair's values."""
     x = node.inputs[0]
     beta = node.attrs["beta"]
     n = x.shape[-1]
     gm = np.zeros((x.size // n, n, n + 1), dtype=np.float64)
     gm[:, :, :n] = g.reshape(-1, n, n)
-    for lo, hi, stay, diff in reversed(node.attrs["saved"]):
+    for lo, hi, swap, diff, beta_gap in reversed(node.attrs["saved"]):
         g_top, g_bottom = gm[:, lo:hi:2], gm[:, lo + 1 : hi : 2]
         g_diff = g_top - g_bottom
-        g_stay = np.sum(g_diff * diff, axis=-1)
-        # d stay / d(v_j - v_i), with v_j - v_i = -diff[..., n]
-        g_gap = g_stay * (beta * _INV_PI) / (1.0 + np.square(beta * diff[..., n]))
-        shift = stay[..., None] * g_diff
-        new_top = g_bottom + shift
-        gm[:, lo + 1 : hi : 2] = g_top - shift
-        gm[:, lo:hi:2] = new_top
-        gm[:, lo + 1 : hi : 2, n] += g_gap
-        gm[:, lo:hi:2, n] -= g_gap
+        g_stay = np.einsum("apk,apk->ap", g_diff, diff)
+        shift = np.multiply(swap[..., None], g_diff, out=g_diff)
+        # g_stay = -dL/dswap reaches the values through d swap / d(v_i - v_j):
+        # negative at v_i, positive at v_j
+        shift[..., n] += g_stay * (beta * _INV_PI) / (1.0 + np.square(beta_gap))
+        g_top -= shift
+        g_bottom += shift
     return (gm[:, :, n].reshape(x.shape),)
 
 
@@ -258,15 +264,16 @@ def sort_matrix(values, beta: float):
     (n,) or for each row of an (A, n) batch: returns (n, n) or (A, n, n).
 
     Each step's swap probabilities come from the running soft values, and
-    later steps multiply on the left. A plain input gives a plain array; a
-    `diffgrad.Tensor` input is recorded as one op whose gradient runs the
-    stored steps backwards.
+    later steps multiply on the left. A plain input gives a plain array and
+    keeps nothing of the steps; a `diffgrad.Tensor` input is recorded as one
+    op whose gradient runs the stored steps backwards.
     """
     beta = _check_beta(beta)
-    arr = _check_values(values.data if isinstance(values, Tensor) else values, max_ndim=2)
-    m, saved = _network(arr.reshape(-1, arr.shape[-1]), beta)
+    taped = isinstance(values, Tensor)
+    arr = _check_values(values.data if taped else values, max_ndim=2)
+    m, saved = _network(arr.reshape(-1, arr.shape[-1]), beta, keep=taped)
     p = m[:, :, :-1].reshape(arr.shape + arr.shape[-1:])
-    if isinstance(values, Tensor):
+    if taped:
         return values.tape._append("sort_matrix", (values,), p, beta=beta, saved=saved)
     return p
 
@@ -281,10 +288,9 @@ def _value_chain(values: np.ndarray, beta: float):
     n = v.shape[0]
     steps = []
     for step in range(1, n + 1):
-        pairs = _step_pairs(n, step)
-        if not pairs:
+        lo, hi = _step_span(n, step)
+        if lo == hi:
             continue
-        lo, hi = pairs[0][0], pairs[-1][1] + 1
         stay = np.arctan(-beta * (v[lo:hi:2] - v[lo + 1 : hi : 2])) * _INV_PI + 0.5
         steps.append((lo, hi, stay, _swap_step(v, lo, hi, stay)))
     return steps
@@ -380,10 +386,10 @@ def hard_sort(values) -> tuple[np.ndarray, HardPermutation]:
     work = arr.copy()
     origin = list(range(n))
     for step in range(1, n + 1):
-        for i, j in _step_pairs(n, step):
-            if work[i] > work[j]:
-                work[i], work[j] = work[j], work[i]
-                origin[i], origin[j] = origin[j], origin[i]
+        for i in range(*_step_span(n, step), 2):
+            if work[i] > work[i + 1]:
+                work[i], work[i + 1] = work[i + 1], work[i]
+                origin[i], origin[i + 1] = origin[i + 1], origin[i]
     mapping = np.empty(n, dtype=np.intp)
     for pos, src in enumerate(origin):
         mapping[src] = pos

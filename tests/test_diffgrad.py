@@ -5,6 +5,7 @@ import pytest
 
 from groco import batchpipe as bp
 from groco import diffgrad as dg
+from groco import losses as ls
 from groco import sortcore as sc
 from groco.diffgrad import NumericError, Tape, Tensor
 
@@ -27,11 +28,13 @@ def test_record_mul_example():
 
 
 def test_record_arctan_example():
-    tape, x = _scalar_tape([1.0])
-    out = dg.arctan(x)
-    assert abs(float(out.data[0]) - math.pi / 4) < 1e-15
-    gmap = dg.backward(tape, dg.sum(out))
-    assert gmap.grad(x).tolist() == [0.5]
+    # the sort op's arctan swap: a gap of 1 at beta 1 swaps with
+    # arctan(1)/pi + 1/2 = 3/4, and d swap / d gap = 1/(2 pi)
+    tape, x = _scalar_tape([1.0, 0.0])
+    out = sc.sort_matrix(x, 1.0)
+    assert np.max(np.abs(out.data - [[0.25, 0.75], [0.75, 0.25]])) < 1e-15
+    gmap = dg.backward(tape, dg.sum(dg.mul(out, np.array([[0.0, 1.0], [0.0, 0.0]]))))
+    assert np.max(np.abs(gmap.grad(x) - np.array([1.0, -1.0]) / (2.0 * math.pi))) < 1e-15
 
 
 def test_record_supports_every_op_kind():
@@ -45,7 +48,6 @@ def test_record_supports_every_op_kind():
         "mul": lambda: dg.mul(v, v),
         "div": lambda: dg.div(v, v),
         "matmul": lambda: dg.matmul(m, v),
-        "arctan": lambda: dg.arctan(v),
         "log": lambda: dg.log(v),
         "exp": lambda: dg.exp(v),
         "sum": lambda: dg.sum(v),
@@ -55,6 +57,7 @@ def test_record_supports_every_op_kind():
         "concat": lambda: dg.concat([v, v]),
         "index_select": lambda: dg.index_select(v, np.array([1, 0])),
         "stop_grad": lambda: dg.stop_grad(v),
+        "bce_mean": lambda: ls._bce_mean(v, np.array([1.0, 0.0]), 2.0),
         "sort_matrix": lambda: sc.sort_matrix(m, 1.0),
         "border_mass": lambda: sc.border_mass(m, 1, 1.0),
         "selected_distances": lambda: bp._selected_distances(views, 2, True, False, True, None)[0],
@@ -156,7 +159,6 @@ def _single_op_cases():
         ("div", lambda t, x: dg.sum(dg.div(1.0, x)), v3),
         ("matmul", lambda t, x: dg.sum(dg.matmul(x, m32)), m23.copy()),
         ("matmul_vec", lambda t, x: dg.sum(dg.matmul(m23, x)), v3),
-        ("arctan", lambda t, x: dg.sum(dg.arctan(x)), v3),
         ("log", lambda t, x: dg.sum(dg.log(x)), v3),
         ("exp", lambda t, x: dg.sum(dg.exp(x)), v3),
         ("l2norm", lambda t, x: dg.sum(dg.l2norm(x, axis=1, keepdims=True)), m23.copy()),
@@ -171,6 +173,8 @@ def _single_op_cases():
         ("transpose", lambda t, x: dg.sum(dg.mul(dg.transpose(x), m32)), m23.copy()),
         ("sort_matrix", lambda t, x: dg.sum(dg.mul(sc.sort_matrix(x, 1.5), w233)), m23.copy()),
         ("border_mass", lambda t, x: dg.sum(dg.mul(sc.border_mass(x, 2, 1.5), m32.T)), m23.copy()),
+        ("bce_mean", lambda t, x: ls._bce_mean(x, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), 6.0),
+         rng.uniform(0.05, 0.95, (2, 3))),
     ]
 
 
@@ -193,11 +197,12 @@ def test_numpy_mode_matches_tape_mode():
 def test_backward_is_linear():
     rng = np.random.default_rng(13)
     point = rng.uniform(0.5, 1.5, 4)
+    weights = rng.uniform(-1.0, 1.0, (4, 4))
     a, b = 1.7, -0.6
 
     def build(tape, x):
         l1 = dg.sum(dg.mul(x, x))
-        l2 = dg.sum(dg.arctan(x))
+        l2 = dg.sum(dg.mul(sc.sort_matrix(x, 1.0), weights))
         return l1, l2
 
     tape = Tape()
@@ -222,7 +227,7 @@ def test_backward_deterministic_bitwise():
     def run():
         tape = Tape()
         x = tape.variable(point)
-        y = dg.sum(dg.mul(dg.arctan(x), dg.exp(dg.scale(x, 0.5))))
+        y = dg.sum(dg.matmul(sc.sort_matrix(x, 1.5), dg.exp(dg.scale(x, 0.5))))
         return dg.backward(tape, y).grad(x)
 
     g1, g2 = run(), run()
@@ -264,18 +269,21 @@ def test_grad_check_rejects_bad_step():
 
 
 def test_grad_check_detects_corrupted_vjp(monkeypatch):
-    # negative control: break the arctan rule and watch the check fail
-    monkeypatch.setitem(dg.VJP_RULES, "arctan", lambda node, g: (g * 0.123,))
-    report = dg.grad_check(lambda t, x: dg.sum(dg.arctan(x)), np.array([0.7, -0.4]))
+    # negative control: break the sort op's rule and watch the check fail
+    real = dg.VJP_RULES["sort_matrix"]
+    monkeypatch.setitem(dg.VJP_RULES, "sort_matrix", lambda node, g: (real(node, g)[0] * 0.123,))
+    weights = np.array([[1.0, -2.0], [0.5, 3.0]])
+    report = dg.grad_check(lambda t, x: dg.sum(dg.mul(sc.sort_matrix(x, 1.0), weights)), np.array([0.7, -0.4]))
     assert not report.passed
 
 
 def test_central_difference_oracle_agrees_with_grad_check_numeric():
     point = np.array([0.3, -0.8, 1.2])
+    weights = np.array([[0.4, -1.0, 2.0], [1.5, 0.2, -0.7], [-0.3, 0.9, 1.1]])
 
     def fn(tape, x):
-        return dg.sum(dg.mul(dg.arctan(x), x))
+        return dg.sum(dg.mul(sc.sort_matrix(x, 1.0), weights))
 
     report = dg.grad_check(fn, point)
-    expected = central_difference(lambda p: float(np.sum(np.arctan(p) * p)), point)
+    expected = central_difference(lambda p: float(np.sum(sc.sort_matrix(p, 1.0) * weights)), point)
     assert np.max(np.abs(report.numeric - expected)) < 1e-12

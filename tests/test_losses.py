@@ -9,6 +9,7 @@ from groco import sortcore as sc
 from groco.losses import GroCoParams, InfoNCEParams, TripletParams
 
 from oracles import (
+    oracle_bce,
     oracle_diff_sort,
     oracle_groco,
     oracle_infonce,
@@ -200,6 +201,99 @@ def test_sorting_supervision_rejects_bad_q():
         ls.sorting_supervision_loss(np.eye(2), np.array([[0.5, 0.5], [0.5, 0.5]]))
     with pytest.raises(ValueError):
         ls.sorting_supervision_loss(np.eye(3), np.eye(2))
+
+
+def test_sorting_supervision_saturated_p_reaches_the_clamp_with_zero_gradient():
+    # at beta=64 a gap of 1e6 puts every entry of P within 1e-7 of 0 or 1,
+    # so every term sits at the clamp and costs -log(1 - eps)
+    rng = np.random.default_rng(33)
+    for n in (2, 5, 8):
+        values = 1e6 * rng.permutation(n)
+        q = sc.permutation_matrix(sc.hard_sort(values)[1])
+        tape = dg.Tape()
+        x = tape.variable(values)
+        loss = ls.sorting_supervision_loss(sc.diff_sort(x, 64.0)[1], q)
+        assert abs(float(loss.data) + math.log(1.0 - ls.BCE_EPSILON)) < 1e-15
+        assert np.array_equal(dg.backward(tape, loss).grad(x), np.zeros(n))
+
+
+def test_taped_losses_record_one_bce_op():
+    # sorting supervision: the sort, the soft values' product, the clamped BCE
+    values = np.array([0.3, -1.2, 2.0, 0.7])
+    q = sc.permutation_matrix(sc.hard_sort(values)[1])
+    tape = dg.Tape()
+    ls.sorting_supervision_loss(sc.diff_sort(tape.variable(values), 1.0)[1], q)
+    assert [node.op_kind for node in tape.nodes] == ["sort_matrix", "matmul", "bce_mean"]
+    # group ordering: the join, the border mass, the clamped BCE
+    tape = dg.Tape()
+    ls.groco_loss(tape.variable([[0.1], [0.2]]), tape.variable([[0.3, 0.5], [0.0, 0.4]]), GroCoParams())
+    assert [node.op_kind for node in tape.nodes] == ["concat", "border_mass", "bce_mean"]
+
+
+def _bce_chain(p, targets, denom):
+    """The clamped BCE as a chain of public ops: the reference for the one
+    `bce_mean` op."""
+    pt = dg.clamp(p, ls.BCE_EPSILON, 1.0 - ls.BCE_EPSILON)
+    ll = targets * dg.log(pt) + (1.0 - targets) * dg.log(1.0 - pt)
+    return dg.scale(dg.sum(ll), -1.0 / denom)
+
+
+def _bce_cases():
+    """(p, targets, denom) on (A, n) border masses and on n x n permutation
+    matrices, each at beta 1 and at beta 64 with gaps of 1e6, where much of
+    p lies past the clamp."""
+    rng = np.random.default_rng(34)
+    cases = []
+    for n, k in ((3, 1), (11, 1), (11, 4)):
+        for beta, spread in ((1.0, 1.0), (64.0, 1e6)):
+            rows = spread * rng.normal(size=(6, n))
+            targets = np.zeros((6, n))
+            targets[:, :k] = 1.0
+            cases.append((sc.border_mass(rows, k, beta), targets, float(targets.size)))
+    for n in (4, 9):
+        for beta, spread in ((1.0, 1.0), (64.0, 1e6)):
+            values = spread * rng.permutation(n)
+            q = sc.permutation_matrix(sc.hard_sort(values)[1])
+            cases.append((sc.sort_matrix(values, beta), q, float(n * n)))
+    return cases
+
+
+def test_bce_mean_equals_the_op_chain():
+    clamped = 0
+    for p, targets, denom in _bce_cases():
+        results = []
+        for fn in (ls._bce_mean, _bce_chain):
+            tape = dg.Tape()
+            x = tape.variable(p)
+            loss = fn(x, targets, denom)
+            results.append((float(loss.data), dg.backward(tape, loss).grad(x)))
+        (loss, grad), (chain_loss, chain_grad) = results
+        assert loss == chain_loss
+        assert np.array_equal(grad, chain_grad)  # bitwise, so within 1e-15 of the largest entry too
+        assert ls._bce_mean(p, targets, denom) == loss  # plain and taped agree
+        clamped += np.count_nonzero((p <= ls.BCE_EPSILON) | (p >= 1.0 - ls.BCE_EPSILON))
+    assert clamped > 0
+
+
+def test_bce_mean_gradient_is_zero_at_and_past_the_clamp():
+    eps = ls.BCE_EPSILON
+    p = np.array([0.0, eps / 2, eps, 1.0 - eps, 1.0 - eps / 2, 1.0, 0.3])
+    for targets in (np.zeros(7), np.ones(7), np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])):
+        tape = dg.Tape()
+        x = tape.variable(p)
+        loss = ls._bce_mean(x, targets, 7.0)
+        expect = np.mean([oracle_bce(pi, ti) for pi, ti in zip(p, targets)])
+        assert abs(float(loss.data) - expect) < 1e-12
+        grad = dg.backward(tape, loss).grad(x)
+        assert np.array_equal(grad[:6], np.zeros(6)) and grad[6] != 0.0
+
+
+def test_bce_mean_gradient_matches_central_differences():
+    rng = np.random.default_rng(35)
+    p = rng.uniform(0.05, 0.95, (4, 5))
+    for targets in (np.eye(4, 5), rng.uniform(0.0, 1.0, (4, 5))):
+        report = dg.grad_check(lambda t, x: ls._bce_mean(x, targets, 20.0), p, h=1e-6, tol=1e-7)
+        assert report.passed, f"rel error {report.max_rel_error:.3e}"
 
 
 def test_infonce_equal_distances_and_paper_value():

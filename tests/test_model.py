@@ -212,9 +212,9 @@ def test_train_all_loss_kinds_complete():
         assert all(np.isfinite(v) for v in result.step_losses)
 
 
-def test_default_step_records_24_tape_nodes(monkeypatch):
+def test_default_step_records_16_tape_nodes(monkeypatch):
     # 10 for the two-layer encoder and head, 1 selected-distances op, 2 column
-    # gathers, 11 for the group-ordering loss
+    # gathers, 3 for the group-ordering loss (concat, border mass, clamped BCE)
     seen = []
     real = md.dg.backward
 
@@ -224,7 +224,7 @@ def test_default_step_records_24_tape_nodes(monkeypatch):
 
     monkeypatch.setattr(md.dg, "backward", counting)
     md.train(dio.synth_generate(dio.SynthConfig(per_cluster=16)), TrainConfig(epochs=2))
-    assert seen == [24, 24]
+    assert seen == [16, 16]
 
 
 def test_train_ablation_flags_complete():

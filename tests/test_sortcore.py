@@ -186,6 +186,58 @@ def test_sort_matrix_gradient_matches_central_differences():
             assert report.passed, f"n={n} beta={beta}: rel error {report.max_rel_error:.3e}"
 
 
+def test_sort_matrix_exact_ties_match_dense_oracle():
+    # a tie swaps with probability exactly 1/2, in the first step and later
+    rows = np.array([[0.5, 0.5, 0.5, 0.5, 0.5],
+                     [1.0, 1.0, 0.0, 2.0, 2.0],
+                     [3.0, 1.0, 1.0, 3.0, 0.0],
+                     [-2.0, 4.0, -2.0, 4.0, -2.0]])
+    for beta in (0.5, 1.0, 64.0):
+        p = sc.sort_matrix(rows, beta)
+        tape = dg.Tape()
+        taped = sc.sort_matrix(tape.variable(rows), beta)
+        assert np.array_equal(taped.data, p)
+        for row, got in zip(rows, p):
+            _, expect = oracle_diff_sort(row.tolist(), beta)
+            assert np.max(np.abs(got - expect)) < 1e-12
+            assert np.array_equal(sc.sort_matrix(row, beta), got)
+
+
+def test_sort_matrix_saturates_at_large_beta_with_finite_gradient():
+    # at beta=64 a gap of 1e6 leaves each swap within ~5e-9 of hard
+    rng = np.random.default_rng(15)
+    for n in (2, 5, 8):
+        rows = np.stack([1e6 * rng.permutation(n) for _ in range(3)])
+        p = sc.sort_matrix(rows, 64.0)
+        for row, got in zip(rows, p):
+            q = sc.permutation_matrix(sc.hard_sort(row)[1])
+            assert np.max(np.abs(got - q)) < 1e-7
+        tape = dg.Tape()
+        x = tape.variable(rows)
+        grad = dg.backward(tape, dg.sum(dg.mul(sc.sort_matrix(x, 64.0), rng.normal(size=(3, n, n))))).grad(x)
+        assert np.all(np.isfinite(grad))
+
+
+def test_sort_matrix_never_writes_to_its_input():
+    rng = np.random.default_rng(16)
+    for values in (rng.normal(size=6), rng.normal(size=(1, 6)), rng.normal(size=(4, 6))):
+        kept = values.copy()
+        p = sc.sort_matrix(values, 1.0)
+        assert np.array_equal(values, kept) and not np.shares_memory(p, values)
+
+        tape = dg.Tape()
+        x = tape.variable(values)
+        sc.sort_matrix(x, 1.0)
+        node = tape.nodes[-1]
+        g = rng.normal(size=values.shape + (6,))
+        g_kept = g.copy()
+        (grad,) = dg.VJP_RULES["sort_matrix"](node, g)
+        assert np.array_equal(g, g_kept) and np.array_equal(x.data, kept)
+        assert grad.shape == values.shape and not np.shares_memory(grad, g)
+        # the rule is safe to run twice on one node: it keeps its saved steps
+        assert np.array_equal(dg.VJP_RULES["sort_matrix"](node, g)[0], grad)
+
+
 def _place_counts(n):
     return sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1)))
 
