@@ -16,7 +16,7 @@ Projections may be a plain array (losses come back as floats) or a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +27,8 @@ from .losses import GroCoParams, InfoNCEParams, TripletParams
 
 __all__ = [
     "ViewBatch",
-    "AnchorGroup",
     "cosine_distance",
     "select_top_negatives",
-    "build_anchor_group",
     "batch_loss",
 ]
 
@@ -70,18 +68,6 @@ class ViewBatch:
     @property
     def num_images(self) -> int:
         return self.num_views // self.views_per_image
-
-
-@dataclass
-class AnchorGroup:
-    """One anchor's distance groups plus the index maps gradients route
-    through. `d_pos`/`d_neg` are ascending when built with pre-ordering."""
-
-    anchor_index: int
-    d_pos: object
-    d_neg: object
-    pos_indices: np.ndarray = field(repr=False)
-    neg_indices: np.ndarray = field(repr=False)
 
 
 def _raw2d(x) -> np.ndarray:
@@ -230,36 +216,15 @@ def _selected_distances(
     return block, pos, neg
 
 
-def _split(block, num_positives: int, rows):
-    """The positive and the negative columns of the given block rows: one
-    row index gives 1-D groups, an index array one group row per index."""
-    width = block.shape[1]
-    starts = width * np.asarray(rows)[..., None]
+def _split(block, num_positives: int):
+    """The positive and the negative columns of every block row, one group
+    row per anchor."""
+    rows, width = block.shape
+    starts = width * np.arange(rows)[:, None]
     return (
         dg.index_select(block, starts + np.arange(num_positives), assume_unique=True),
         dg.index_select(block, starts + np.arange(num_positives, width), assume_unique=True),
     )
-
-
-def build_anchor_group(
-    batch: ViewBatch,
-    anchor_index: int,
-    num_negatives: int,
-    *,
-    stop_grad: bool = True,
-    random_negatives: bool = False,
-    preorder: bool = True,
-    rng=None,
-) -> AnchorGroup:
-    """Assemble one anchor's positive and negative distance groups: row
-    `anchor_index` of the selection `batch_loss` makes for every anchor."""
-    if not (0 <= anchor_index < batch.num_views):
-        raise ValueError(f"anchor_index out of range: {anchor_index}")
-    if num_negatives < 1:
-        raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
-    block, pos, neg = _selected_distances(batch, num_negatives, stop_grad, random_negatives, preorder, rng)
-    d_pos, d_neg = _split(block, pos.shape[1], anchor_index)
-    return AnchorGroup(anchor_index, d_pos, d_neg, pos[anchor_index], neg[anchor_index])
 
 
 def batch_loss(
@@ -267,7 +232,7 @@ def batch_loss(
     loss_kind: str,
     params,
     *,
-    num_negatives: int | None = None,
+    num_negatives: int = 10,
     stop_grad: bool = True,
     preorder: bool = True,
     random_negatives: bool = False,
@@ -276,35 +241,34 @@ def batch_loss(
 ):
     """Mean per-anchor loss with every view serving as the anchor once.
 
-    The negative group size comes from `params.num_negatives` for the
-    group-ordering loss and from `num_negatives` otherwise; the contrastive
-    loss uses all available negatives unless `infonce_top_n` is set.
+    The positive group of an anchor is the other views of its image, so its
+    size is always `batch.views_per_image - 1`. The negative group size comes
+    from `params.num_negatives` for the group-ordering loss and from
+    `num_negatives` otherwise; the contrastive loss uses all available
+    negatives unless `infonce_top_n` is set. Either count is capped at the
+    negatives the batch holds.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss_kind {loss_kind!r}, expected one of {LOSS_KINDS}")
-    m = batch.views_per_image
-    all_negatives = m * (batch.num_images - 1)
+    if num_negatives < 1:
+        raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
     if loss_kind == "groco":
         if not isinstance(params, GroCoParams):
             raise ValueError("groco loss requires GroCoParams")
-        if params.num_positives != m - 1:
-            raise ValueError(
-                f"params.num_positives={params.num_positives} but batch provides {m - 1} positives"
-            )
         effective_n = params.num_negatives
     elif loss_kind == "infonce":
         if not isinstance(params, InfoNCEParams):
             raise ValueError("infonce loss requires InfoNCEParams")
-        effective_n = (num_negatives or 10) if infonce_top_n else all_negatives
+        effective_n = num_negatives if infonce_top_n else batch.views_per_image * (batch.num_images - 1)
     else:
         if not isinstance(params, TripletParams):
             raise ValueError("triplet loss requires TripletParams")
-        effective_n = num_negatives or 10
+        effective_n = num_negatives
 
     block, pos, neg = _selected_distances(batch, effective_n, stop_grad, random_negatives, preorder, rng)
     if loss_kind == "groco" and not preorder:
         return losses.group_loss_from_concat(block, pos.shape[1], params.beta)
-    d_pos, d_neg = _split(block, pos.shape[1], np.arange(batch.num_views))
+    d_pos, d_neg = _split(block, pos.shape[1])
     if loss_kind == "groco":
         return losses.groco_loss(d_pos, d_neg, params)
     if loss_kind == "infonce":

@@ -173,7 +173,7 @@ def cmd_eval(args) -> int:
 def cmd_toy(args) -> int:
     init = _parse_floats(args.init, "--init")
     if args.loss == "groco":
-        params = GroCoParams(beta=args.beta, num_positives=1, num_negatives=max(1, len(init) - 1))
+        params = GroCoParams(beta=args.beta)
     else:
         params = InfoNCEParams(tau=args.tau)
     trajectory = evals.toy_dynamics(args.loss, init, args.steps, args.lr, params)

@@ -69,17 +69,18 @@ def _result(x):
 @dataclass(frozen=True)
 class GroCoParams:
     """Configuration of the group-ordering loss: inverse temperature plus the
-    positive/negative group sizes the batch pipeline should assemble."""
+    negative group size the batch pipeline should assemble. The positive
+    group size is not a setting: `groco_loss` takes it from `d_pos`, and
+    the batch pipeline gives each anchor the other views of its image."""
 
     beta: float = 1.0
-    num_positives: int = 1
     num_negatives: int = 10
 
     def __post_init__(self):
         if not math.isfinite(self.beta) or self.beta <= 0:
             raise ValueError(f"beta must be a finite positive real, got {self.beta}")
-        if self.num_positives < 1 or self.num_negatives < 1:
-            raise ValueError("group sizes must be >= 1")
+        if self.num_negatives < 1:
+            raise ValueError(f"num_negatives must be >= 1, got {self.num_negatives}")
 
 
 @dataclass(frozen=True)

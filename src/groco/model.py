@@ -305,6 +305,8 @@ class TrainConfig:
             raise ValueError("need epochs >= 1, batch_size >= 2, views >= 2")
         if self.loss_kind not in batchpipe.LOSS_KINDS:
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
+        if self.num_negatives < 1:
+            raise ValueError(f"num_negatives must be >= 1, got {self.num_negatives}")
         if self.lr <= 0 or not (0 <= self.momentum < 1):
             raise ValueError("need lr > 0 and 0 <= momentum < 1")
         if self.warmup_epochs < 0 or self.warmup_epochs >= self.epochs:
@@ -313,11 +315,7 @@ class TrainConfig:
 
     def loss_params(self):
         if self.loss_kind == "groco":
-            return GroCoParams(
-                beta=self.beta,
-                num_positives=self.views - 1,
-                num_negatives=self.num_negatives,
-            )
+            return GroCoParams(beta=self.beta, num_negatives=self.num_negatives)
         if self.loss_kind == "infonce":
             return InfoNCEParams(tau=self.infonce_tau)
         return TripletParams(margin=self.triplet_margin)

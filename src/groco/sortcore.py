@@ -41,13 +41,10 @@ from . import diffgrad as dg
 from .diffgrad import Tensor
 
 __all__ = [
-    "SortConfig",
     "RelaxedPermutation",
     "HardPermutation",
     "sigmoid_f",
     "soft_swap",
-    "swap_matrix",
-    "step_matrix",
     "sort_matrix",
     "border_mass",
     "diff_sort",
@@ -76,19 +73,6 @@ def _check_values(values, max_ndim: int = 1) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SortConfig:
-    """Inverse temperature and input length of one relaxed sorting network."""
-
-    beta: float
-    length: int
-
-    def __post_init__(self):
-        _check_beta(self.beta)
-        if int(self.length) < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
-
-
-@dataclass(frozen=True)
 class RelaxedPermutation:
     """Doubly stochastic matrix; rows are output positions, columns inputs."""
 
@@ -98,13 +82,6 @@ class RelaxedPermutation:
         e = self.entries
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"entries must be square, got shape {e.shape}")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def apply(self, values) -> np.ndarray:
-        return self.entries @ np.asarray(values, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -161,45 +138,12 @@ def soft_swap(d_i: float, d_j: float, beta: float) -> tuple[float, float]:
     return lo, hi
 
 
-def swap_matrix(n: int, i: int, j: int, d_i: float, d_j: float, beta: float) -> RelaxedPermutation:
-    """n-by-n identity except the symmetric 2x2 block coupling positions i, j
-    (0-based, i < j) with stay probability f(d_j - d_i)."""
-    n = int(n)
-    if not (0 <= i < j < n):
-        raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={n}")
-    stay = sigmoid_f(float(d_j) - float(d_i), beta)
-    swap = sigmoid_f(float(d_i) - float(d_j), beta)
-    m = np.eye(n, dtype=np.float64)
-    m[i, i] = m[j, j] = stay
-    m[i, j] = m[j, i] = swap
-    return RelaxedPermutation(m)
-
-
 def _step_span(n: int, step: int) -> tuple[int, int]:
     """Places (lo, hi) of the 1-based `step` of an n-input network: it
     compares (i, i + 1) for i in range(lo, hi, 2), and hi == lo when it has
     no pair. Odd steps start at place 0, even steps at place 1."""
     lo = 1 - step % 2
     return lo, lo + (n - lo) // 2 * 2
-
-
-def step_matrix(values, step: int, beta: float) -> RelaxedPermutation:
-    """Product of the independent adjacent-pair swap matrices of one step.
-
-    `values` are the current (partially sorted) values entering the step;
-    `step` is 1-based and must be in 1..n. Odd steps pair from index 0, even
-    steps from index 1.
-    """
-    arr = _check_values(values)
-    beta = _check_beta(beta)
-    n = arr.size
-    step = int(step)
-    if not (1 <= step <= n):
-        raise ValueError(f"step must be in 1..{n}, got {step}")
-    m = np.eye(n, dtype=np.float64)
-    for i in range(*_step_span(n, step), 2):
-        m = swap_matrix(n, i, i + 1, arr[i], arr[i + 1], beta).entries @ m
-    return RelaxedPermutation(m)
 
 
 def _network(values: np.ndarray, beta: float, keep: bool):

@@ -157,8 +157,11 @@ def test_criterion_5_gradient_fidelity():
         image_id = np.repeat(np.arange(3), 2)
         tape = dg.Tape()
         batch = bp.ViewBatch(tape.variable(raw), image_id, 2)
-        group = bp.build_anchor_group(batch, 1, num_negatives=4, stop_grad=True)
-        loss = ls.groco_loss(group.d_pos, group.d_neg, GroCoParams(beta=1.0, num_negatives=4))
+        block, _, _ = bp._selected_distances(batch, 4, True, False, True, None)
+        start = block.shape[1] * 1  # block row 1: anchor 1's positive, then its negatives
+        d_pos = dg.index_select(block, start + np.arange(1))
+        d_neg = dg.index_select(block, start + np.arange(1, block.shape[1]))
+        loss = ls.groco_loss(d_pos, d_neg, GroCoParams(beta=1.0, num_negatives=4))
         grads = dg.backward(tape, loss).grad(batch.projections)
         assert np.any(grads[1] != 0.0)
         for row in (0, 2, 3, 4, 5):

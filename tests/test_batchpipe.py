@@ -103,47 +103,62 @@ def test_view_batch_validation():
         bp.ViewBatch(rng.normal(size=(2, 3)), np.array([0, 0]), 2)  # single image
 
 
+def _groups(batch, num_negatives, stop_grad=True, random_negatives=False, preorder=True, rng=None):
+    """The selection `batch_loss` makes for every anchor at once: the
+    (A, m - 1 + N) distance block and its positive and negative columns."""
+    return bp._selected_distances(batch, num_negatives, stop_grad, random_negatives, preorder, rng)
+
+
+def _anchor_row(block, num_positives, anchor):
+    """One anchor's positive and negative groups: row `anchor` of the block."""
+    start = block.shape[1] * anchor
+    return (
+        dg.index_select(block, start + np.arange(num_positives)),
+        dg.index_select(block, start + np.arange(num_positives, block.shape[1])),
+    )
+
+
 def test_anchor_group_counts_and_saturation():
     rng = np.random.default_rng(42)
     batch = _make_batch(rng, images=2, views=2)
-    group = bp.build_anchor_group(batch, 0, num_negatives=10)
-    assert group.pos_indices.tolist() == [1]
-    assert len(group.neg_indices) == 2  # saturated: only m*(B-1) = 2 exist
-    assert set(group.neg_indices.tolist()) == {2, 3}
+    block, pos, neg = _groups(batch, 10)
+    assert pos[0].tolist() == [1]
+    assert neg.shape == (4, 2)  # saturated: only m*(B-1) = 2 exist
+    assert set(neg[0].tolist()) == {2, 3}
+    assert block.shape == (4, 3)
 
 
 def test_anchor_group_excludes_own_views_and_orders_ascending():
     rng = np.random.default_rng(43)
     batch = _make_batch(rng, images=4, views=3)
+    block, pos, neg = _groups(batch, 5)
+    assert pos.shape == (batch.num_views, batch.views_per_image - 1)
     for anchor in range(batch.num_views):
-        group = bp.build_anchor_group(batch, anchor, num_negatives=5)
         own = batch.image_id[anchor]
-        assert anchor not in group.pos_indices
-        assert anchor not in group.neg_indices
-        assert all(batch.image_id[i] == own for i in group.pos_indices)
-        assert all(batch.image_id[i] != own for i in group.neg_indices)
-        assert len(group.pos_indices) == batch.views_per_image - 1
-        assert np.all(np.diff(group.d_pos) >= 0)
-        assert np.all(np.diff(group.d_neg) >= 0)
+        assert anchor not in pos[anchor]
+        assert anchor not in neg[anchor]
+        assert all(batch.image_id[i] == own for i in pos[anchor])
+        assert all(batch.image_id[i] != own for i in neg[anchor])
+    assert np.all(np.diff(block[:, :2], axis=1) >= 0)
+    assert np.all(np.diff(block[:, 2:], axis=1) >= 0)
 
 
 def test_anchor_group_matches_manual_cosine_distances():
     rng = np.random.default_rng(44)
     batch = _make_batch(rng, images=3, views=2)
-    group = bp.build_anchor_group(batch, 0, num_negatives=4)
+    block, pos, neg = _groups(batch, 4)
     x = batch.projections
-    manual = {j: bp.cosine_distance(x[0], x[j]) for j in range(1, 6)}
-    for d, j in zip(group.d_pos, group.pos_indices):
-        assert d == pytest.approx(manual[j], abs=1e-12)
-    for d, j in zip(group.d_neg, group.neg_indices):
-        assert d == pytest.approx(manual[j], abs=1e-12)
+    cols = np.concatenate([pos, neg], axis=1)
+    for anchor in range(batch.num_views):
+        for d, j in zip(block[anchor], cols[anchor]):
+            assert d == pytest.approx(bp.cosine_distance(x[anchor], x[j]), abs=1e-12)
 
 
 def test_stop_grad_zeroes_non_anchor_gradients():
     rng = np.random.default_rng(45)
     batch, tape, raw = _make_batch(rng, images=3, views=2, as_tensor=True)
-    group = bp.build_anchor_group(batch, 2, num_negatives=3, stop_grad=True)
-    loss = ls.groco_loss(group.d_pos, group.d_neg, GroCoParams(beta=1.0, num_positives=1, num_negatives=3))
+    block, _, _ = _groups(batch, 3, stop_grad=True)
+    loss = ls.groco_loss(*_anchor_row(block, 1, 2), GroCoParams(beta=1.0, num_negatives=3))
     grads = dg.backward(tape, loss).grad(batch.projections)
     for row in range(raw.shape[0]):
         if row == 2:
@@ -155,59 +170,58 @@ def test_stop_grad_zeroes_non_anchor_gradients():
 def test_without_stop_grad_others_receive_gradient():
     rng = np.random.default_rng(46)
     batch, tape, raw = _make_batch(rng, images=3, views=2, as_tensor=True)
-    group = bp.build_anchor_group(batch, 2, num_negatives=3, stop_grad=False)
-    loss = ls.groco_loss(group.d_pos, group.d_neg, GroCoParams(beta=1.0, num_positives=1, num_negatives=3))
+    block, _, _ = _groups(batch, 3, stop_grad=False)
+    loss = ls.groco_loss(*_anchor_row(block, 1, 2), GroCoParams(beta=1.0, num_negatives=3))
     grads = dg.backward(tape, loss).grad(batch.projections)
     touched = [row for row in range(raw.shape[0]) if np.any(grads[row] != 0.0)]
     assert 2 in touched and len(touched) > 1
 
 
 def test_batch_gradient_is_sum_of_anchor_gradients():
+    # one selection for the batch; each anchor's loss gradient on its own
+    # block row is pushed through the recorded selection op on its own
     rng = np.random.default_rng(47)
     images, views = 3, 2
     raw = rng.normal(size=(images * views, 4))
     image_id = np.repeat(np.arange(images), views)
-    params = GroCoParams(beta=1.0, num_positives=1, num_negatives=3)
+    params = GroCoParams(beta=1.0, num_negatives=3)
 
     tape = Tape()
     batch = bp.ViewBatch(tape.variable(raw), image_id, views)
     total = bp.batch_loss(batch, "groco", params)
     g_total = dg.backward(tape, total).grad(batch.projections)
 
+    tape = Tape()
+    block, _, _ = _groups(bp.ViewBatch(tape.variable(raw), image_id, views), 3)
+    node = tape.nodes[-1]
     acc = np.zeros_like(raw)
     for anchor in range(images * views):
         t = Tape()
-        b = bp.ViewBatch(t.variable(raw), image_id, views)
-        group = bp.build_anchor_group(b, anchor, num_negatives=3)
-        loss = ls.groco_loss(group.d_pos, group.d_neg, params)
-        acc += dg.backward(t, loss).grad(b.projections)
-    assert np.max(np.abs(g_total - acc / (images * views))) < 1e-12
-    # with stop-grad on, row j is exactly the j-as-anchor contribution
-    for anchor in range(images * views):
-        t = Tape()
-        b = bp.ViewBatch(t.variable(raw), image_id, views)
-        group = bp.build_anchor_group(b, anchor, num_negatives=3)
-        loss = ls.groco_loss(group.d_pos, group.d_neg, params)
-        g_single = dg.backward(t, loss).grad(b.projections)
+        row = t.variable(block.data[anchor : anchor + 1])
+        g_block = np.zeros(block.shape)
+        g_block[anchor] = dg.backward(t, ls.groco_loss(*_anchor_row(row, 1, 0), params)).grad(row)[0]
+        (g_single,) = dg.VJP_RULES["selected_distances"](node, g_block)
+        acc += g_single
+        # with stop-grad on, row j is exactly the j-as-anchor contribution
+        assert np.all(np.delete(g_single, anchor, axis=0) == 0.0)
         assert np.max(np.abs(g_total[anchor] - g_single[anchor] / (images * views))) < 1e-12
+    assert np.max(np.abs(g_total - acc / (images * views))) < 1e-12
 
 
 def test_batch_loss_equals_mean_of_anchor_losses():
     rng = np.random.default_rng(48)
     batch = _make_batch(rng, images=4, views=2)
-    params = GroCoParams(beta=1.0, num_positives=1, num_negatives=4)
+    params = GroCoParams(beta=1.0, num_negatives=4)
     total = bp.batch_loss(batch, "groco", params)
-    per_anchor = []
-    for anchor in range(batch.num_views):
-        group = bp.build_anchor_group(batch, anchor, num_negatives=4)
-        per_anchor.append(ls.groco_loss(group.d_pos, group.d_neg, params))
+    block, _, _ = _groups(batch, 4)
+    per_anchor = [ls.groco_loss(row[:1], row[1:], params) for row in block]
     assert abs(total - float(np.mean(per_anchor))) < 1e-12
 
 
 def test_batch_loss_identical_projections_gives_equal_distance_case():
     proj = np.tile(np.array([1.0, 2.0, 0.5]), (4, 1))
     batch = bp.ViewBatch(proj, np.array([0, 0, 1, 1]), 2)
-    got = bp.batch_loss(batch, "groco", GroCoParams(beta=1.0, num_positives=1, num_negatives=10))
+    got = bp.batch_loss(batch, "groco", GroCoParams(beta=1.0, num_negatives=10))
     expect = oracle_groco([-1.0], [-1.0, -1.0], 1.0)
     assert abs(got - expect) < 1e-12
 
@@ -217,7 +231,7 @@ def test_batch_loss_single_anchor_hand_computation():
     proj = np.array([[1.0, 0.0], [0.8, 0.6], [0.0, 1.0], [-1.0, 0.0]])
     image_id = np.array([0, 0, 1, 1])
     batch = bp.ViewBatch(proj, image_id, 2)
-    params = GroCoParams(beta=1.0, num_positives=1, num_negatives=10)
+    params = GroCoParams(beta=1.0, num_negatives=10)
     manual = []
     for anchor in range(4):
         d = {j: bp.cosine_distance(proj[anchor], proj[j]) for j in range(4) if j != anchor}
@@ -232,7 +246,7 @@ def test_loss_invariant_under_view_permutation():
     rng = np.random.default_rng(49)
     raw = rng.normal(size=(8, 5))
     image_id = np.repeat(np.arange(4), 2)
-    params = GroCoParams(beta=1.0, num_positives=1, num_negatives=6)
+    params = GroCoParams(beta=1.0, num_negatives=6)
     base = bp.batch_loss(bp.ViewBatch(raw, image_id, 2), "groco", params)
     for _ in range(5):
         perm = rng.permutation(8)
@@ -244,24 +258,21 @@ def test_random_negatives_needs_rng_and_is_seeded():
     rng = np.random.default_rng(50)
     batch = _make_batch(rng, images=5, views=2)
     with pytest.raises(ValueError):
-        bp.build_anchor_group(batch, 0, num_negatives=3, random_negatives=True)
-    g1 = bp.build_anchor_group(batch, 0, num_negatives=3, random_negatives=True,
-                               rng=np.random.default_rng(7))
-    g2 = bp.build_anchor_group(batch, 0, num_negatives=3, random_negatives=True,
-                               rng=np.random.default_rng(7))
-    assert g1.neg_indices.tolist() == g2.neg_indices.tolist()
-    assert np.all(np.diff(g1.d_neg) >= 0)
+        bp.batch_loss(batch, "groco", GroCoParams(num_negatives=3), random_negatives=True)
+    b1, _, n1 = _groups(batch, 3, random_negatives=True, rng=np.random.default_rng(7))
+    b2, _, n2 = _groups(batch, 3, random_negatives=True, rng=np.random.default_rng(7))
+    assert np.array_equal(n1, n2) and np.array_equal(b1, b2)
+    assert np.all(np.diff(b1[:, 1:], axis=1) >= 0)
 
 
 def test_preorder_off_keeps_batch_order():
     rng = np.random.default_rng(51)
     batch = _make_batch(rng, images=4, views=3)
-    group = bp.build_anchor_group(batch, 0, num_negatives=9, preorder=False)
-    assert group.pos_indices.tolist() == sorted(group.pos_indices.tolist())
-    assert group.neg_indices.tolist() == sorted(group.neg_indices.tolist())
+    _, pos, neg = _groups(batch, 9, preorder=False)
+    assert np.all(np.diff(pos, axis=1) > 0)
+    assert np.all(np.diff(neg, axis=1) > 0)
     # batch loss still computes through the unordered path
-    val = bp.batch_loss(batch, "groco", GroCoParams(beta=1.0, num_positives=2, num_negatives=9),
-                        preorder=False)
+    val = bp.batch_loss(batch, "groco", GroCoParams(beta=1.0, num_negatives=9), preorder=False)
     assert np.isfinite(val) and val > 0
 
 
@@ -271,11 +282,9 @@ def test_infonce_uses_all_negatives_unless_top_n():
     image_id = np.repeat(np.arange(4), 2)
     batch = bp.ViewBatch(raw, image_id, 2)
     params = InfoNCEParams(tau=0.5)
-    manual = []
-    for anchor in range(8):
-        group = bp.build_anchor_group(batch, anchor, num_negatives=6)
-        assert len(group.neg_indices) == 6  # all m(B-1) negatives
-        manual.append(ls.infonce_loss(group.d_pos, group.d_neg, params))
+    block, _, neg = _groups(batch, 6)
+    assert neg.shape == (8, 6)  # all m(B-1) negatives
+    manual = [ls.infonce_loss(row[:1], row[1:], params) for row in block]
     assert abs(bp.batch_loss(batch, "infonce", params) - float(np.mean(manual))) < 1e-12
     top = bp.batch_loss(batch, "infonce", params, infonce_top_n=True, num_negatives=2)
     assert abs(top - bp.batch_loss(batch, "infonce", params)) > 1e-12
@@ -317,8 +326,10 @@ def test_batch_loss_rejects_bad_kind_and_params():
         bp.batch_loss(batch, "nonsense", GroCoParams())
     with pytest.raises(ValueError):
         bp.batch_loss(batch, "groco", InfoNCEParams())
-    with pytest.raises(ValueError):
-        bp.batch_loss(batch, "groco", GroCoParams(num_positives=3, num_negatives=2))
+    for kind, params in (("groco", GroCoParams()), ("infonce", InfoNCEParams()), ("triplet", TripletParams())):
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="num_negatives"):
+                bp.batch_loss(batch, kind, params, num_negatives=count, infonce_top_n=True)
 
 
 def test_zero_norm_projection_reports_view():
@@ -326,7 +337,7 @@ def test_zero_norm_projection_reports_view():
     proj[2] = 0.0
     batch = bp.ViewBatch(proj, np.array([0, 0, 1, 1]), 2)
     with pytest.raises(NumericError, match="view 2"):
-        bp.build_anchor_group(batch, 0, num_negatives=2)
+        bp.batch_loss(batch, "groco", GroCoParams(num_negatives=2))
 
 
 def _reference_columns(d, image_id, num_negatives, preorder):
@@ -431,7 +442,7 @@ def test_batch_loss_matches_per_anchor_oracles_with_ties():
         image_id = np.repeat(np.arange(12 // views), views)
         unit = raw / np.sqrt(np.sum(raw * raw, axis=1, keepdims=True))
         cases = (
-            ("groco", GroCoParams(beta=1.5, num_positives=views - 1, num_negatives=4), 4,
+            ("groco", GroCoParams(beta=1.5, num_negatives=4), 4,
              lambda p, n: oracle_groco(p, n, 1.5)),
             ("infonce", InfoNCEParams(tau=0.3), 12 - views, lambda p, n: oracle_infonce(p, n, 0.3)),
             ("triplet", TripletParams(margin=0.8), 3, lambda p, n: oracle_triplet(p, n, 0.8)),
@@ -476,7 +487,7 @@ def test_selected_distances_match_the_dense_chain():
         image_id = rng.permutation(np.repeat(np.arange(images), views))
         all_negatives = views * (images - 1)
         cases = (
-            ("groco", GroCoParams(beta=1.5, num_positives=views - 1, num_negatives=4), 4),
+            ("groco", GroCoParams(beta=1.5, num_negatives=4), 4),
             ("infonce", InfoNCEParams(tau=0.3), all_negatives),
             ("triplet", TripletParams(margin=0.8), 3),
         )

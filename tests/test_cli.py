@@ -101,6 +101,16 @@ def test_train_baselines_complete(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
+def test_train_neg_below_one_is_usage_error(tmp_path):
+    for extra in ([], ["--loss", "infonce", "--infonce-top-n"], ["--loss", "triplet"]):
+        args = _small_train_args(tmp_path, extra=extra)
+        args[args.index("--neg") + 1] = "0"
+        proc = run_cli(*args, cwd=tmp_path)
+        assert proc.returncode == 2, (extra, proc.stderr)
+        assert "num_negatives must be >= 1" in proc.stderr
+        assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_train_ablation_flags_accepted(tmp_path):
     proc = run_cli(
         *_small_train_args(tmp_path, extra=["--no-stopgrad", "--no-preorder", "--random-negatives"]),

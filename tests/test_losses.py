@@ -64,7 +64,7 @@ def test_groco_rejects_unsorted_groups():
     with pytest.raises(ValueError):
         ls.groco_loss([0.1], [0.5, 0.4], GroCoParams())
     # ties inside a group are fine
-    ls.groco_loss([0.1, 0.1], [0.5, 0.5], GroCoParams(num_positives=2, num_negatives=2))
+    ls.groco_loss([0.1, 0.1], [0.5, 0.5], GroCoParams(num_negatives=2))
 
 
 def test_groco_nonnegative_and_hard_limit():
@@ -364,7 +364,7 @@ def test_param_validation():
     with pytest.raises(ValueError):
         GroCoParams(beta=-1.0)
     with pytest.raises(ValueError):
-        GroCoParams(num_positives=0)
+        GroCoParams(num_negatives=0)
     with pytest.raises(ValueError):
         InfoNCEParams(tau=0.0)
     with pytest.raises(ValueError):

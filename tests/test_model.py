@@ -293,6 +293,9 @@ def test_train_config_validation():
         TrainConfig(view_noise=-0.5)
     with pytest.raises(ValueError):
         TrainConfig(view_noise=(0.5, -0.5))
+    for kind in ("groco", "infonce", "triplet"):
+        with pytest.raises(ValueError, match="num_negatives"):
+            TrainConfig(loss_kind=kind, num_negatives=0)
 
 
 def test_train_rejects_small_dataset():

@@ -54,72 +54,21 @@ def test_soft_swap_sum_conservation():
         assert lo <= hi + 1e-15  # softmin never exceeds softmax
 
 
-def test_swap_matrix_values():
-    m = sc.swap_matrix(2, 0, 1, 2.0, 1.0, 1.0).entries
-    assert np.allclose(m, [[0.25, 0.75], [0.75, 0.25]], atol=1e-12)
-    m = sc.swap_matrix(2, 0, 1, 1.0, 1.0, 3.7).entries
-    assert np.allclose(m, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
-    m = sc.swap_matrix(3, 0, 1, 2.0, 1.0, 1.0).entries
-    assert np.allclose(m[:2, :2], [[0.25, 0.75], [0.75, 0.25]], atol=1e-12)
-    assert m[2, 2] == 1.0 and m[2, 0] == m[2, 1] == m[0, 2] == m[1, 2] == 0.0
-
-
-def test_swap_matrix_symmetric_doubly_stochastic():
+def test_sort_matrix_of_two_values_is_one_symmetric_swap():
+    # n=2: the odd step holds the network's only pair and the even step
+    # none, so P is that one swap
+    assert sc.sort_matrix([1.0, 1.0], 3.7).tolist() == [[0.5, 0.5], [0.5, 0.5]]
     rng = np.random.default_rng(3)
     for _ in range(50):
-        n = int(rng.integers(2, 9))
-        i = int(rng.integers(0, n - 1))
-        j = int(rng.integers(i + 1, n))
-        m = sc.swap_matrix(n, i, j, rng.normal(), rng.normal(), rng.uniform(0.2, 5)).entries
-        assert np.allclose(m, m.T, atol=0)
-        assert np.allclose(m.sum(axis=0), 1.0, atol=1e-12)
-        assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all((m >= 0) & (m <= 1))
-
-
-def test_swap_matrix_index_validation():
-    with pytest.raises(ValueError):
-        sc.swap_matrix(3, 2, 1, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        sc.swap_matrix(3, 0, 3, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        sc.swap_matrix(3, 1, 1, 0.0, 0.0, 1.0)
-
-
-def test_step_matrix_even_step_n2_is_identity():
-    m = sc.step_matrix([1.0, 2.0], 2, 1.0).entries
-    assert np.array_equal(m, np.eye(2))
-
-
-def test_step_matrix_hard_limit_first_step():
-    # near the hard limit the first step swaps (6,1) and (4,2)
-    m = sc.step_matrix([6.0, 1.0, 4.0, 2.0], 1, 1e6).entries
-    hard = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
-    assert np.max(np.abs(m - hard)) < 1e-3
-
-
-def test_step_matrix_matches_dense_oracle():
-    m = sc.step_matrix([0.3, 0.1, 0.2], 1, 2.0).entries
-    expect = np.array(oracle_step_matrix([0.3, 0.1, 0.2], 1, 2.0))
-    assert np.max(np.abs(m - expect)) < 1e-12
-    # only the (0, 1) pair is touched at an odd step of n=3
-    assert m[2, 2] == 1.0
-
-    rng = np.random.default_rng(4)
-    for _ in range(25):
-        n = int(rng.integers(1, 9))
-        vals = rng.normal(size=n)
-        step = int(rng.integers(1, n + 1))
-        beta = float(rng.uniform(0.3, 4))
-        got = sc.step_matrix(vals, step, beta).entries
-        assert np.max(np.abs(got - np.array(oracle_step_matrix(vals.tolist(), step, beta)))) < 1e-12
-
-
-def test_step_matrix_range_validation():
-    with pytest.raises(ValueError):
-        sc.step_matrix([1.0, 2.0], 0, 1.0)
-    with pytest.raises(ValueError):
-        sc.step_matrix([1.0, 2.0], 3, 1.0)
+        vals = rng.normal(size=2)
+        beta = float(rng.uniform(0.2, 5))
+        p = sc.sort_matrix(vals, beta)
+        expect = np.array(oracle_step_matrix(vals.tolist(), 1, beta))
+        assert np.max(np.abs(p - expect)) < 1e-15
+        assert p[0, 1] == p[1, 0]
+        assert np.allclose(p.sum(axis=0), 1.0, atol=1e-15)
+        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-15)
+        assert np.all((p >= 0) & (p <= 1))
 
 
 def test_diff_sort_two_values():
@@ -352,14 +301,6 @@ def test_permutation_matrix_convention():
     _, perm = sc.hard_sort([6, 1, 4, 2])
     q = sc.permutation_matrix(perm)
     assert q @ np.array([6.0, 1.0, 4.0, 2.0]) == pytest.approx([1.0, 2.0, 4.0, 6.0])
-
-
-def test_sort_config_validation():
-    sc.SortConfig(beta=1.0, length=3)
-    with pytest.raises(ValueError):
-        sc.SortConfig(beta=0.0, length=3)
-    with pytest.raises(ValueError):
-        sc.SortConfig(beta=1.0, length=0)
 
 
 def test_diff_sort_rejects_bad_input():
