@@ -54,21 +54,36 @@ def test_soft_swap_sum_conservation():
         assert lo <= hi + 1e-15  # softmin never exceeds softmax
 
 
-def test_sort_matrix_of_two_values_is_one_symmetric_swap():
-    # n=2: the odd step holds the network's only pair and the even step
-    # none, so P is that one swap
+# n=2: the odd step holds the network's only pair and the even step none,
+# so sort_matrix of two values is that one swap matrix
+
+
+def test_swap_matrix_values():
+    p = sc.sort_matrix([2.0, 1.0], 1.0)
+    assert np.allclose(p, [[0.25, 0.75], [0.75, 0.25]], atol=1e-12)
     assert sc.sort_matrix([1.0, 1.0], 3.7).tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+
+def test_swap_matrix_symmetric_doubly_stochastic():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        vals = rng.normal(size=2)
-        beta = float(rng.uniform(0.2, 5))
-        p = sc.sort_matrix(vals, beta)
-        expect = np.array(oracle_step_matrix(vals.tolist(), 1, beta))
-        assert np.max(np.abs(p - expect)) < 1e-15
+        p = sc.sort_matrix(rng.normal(size=2), float(rng.uniform(0.2, 5)))
         assert p[0, 1] == p[1, 0]
         assert np.allclose(p.sum(axis=0), 1.0, atol=1e-15)
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-15)
         assert np.all((p >= 0) & (p <= 1))
+
+
+def test_step_matrix_even_step_n2_is_identity():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        vals = rng.normal(size=2).tolist()
+        beta = float(rng.uniform(0.2, 5))
+        assert np.array_equal(np.array(oracle_step_matrix(vals, 2, beta)), np.eye(2))
+        # the whole network equals its first step: the even step adds nothing
+        p = sc.sort_matrix(vals, beta)
+        expect = np.array(oracle_step_matrix(vals, 1, beta))
+        assert np.max(np.abs(p - expect)) < 1e-15
 
 
 def test_diff_sort_two_values():
