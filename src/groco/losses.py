@@ -233,11 +233,20 @@ def _check_hard_permutation(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"Q must be square, got shape {q.shape}")
+    # Q is a permutation exactly when each row's largest entry is a 1, those
+    # are its only nonzero entries, and no two rows put theirs in one column
+    n = q.shape[0]
+    if n == 0:
+        return q
+    cols = q.argmax(axis=1)
+    used = np.zeros(n, dtype=bool)
+    used[cols] = True
+    if used.all() and np.count_nonzero(q) == n and (q[np.arange(n), cols] == 1.0).all():
+        return q
+    # only a rejected Q is scanned again, to name its fault
     if not np.all((q == 0.0) | (q == 1.0)):
         raise ValueError("Q must contain only 0/1 entries")
-    if not (np.all(q.sum(axis=0) == 1.0) and np.all(q.sum(axis=1) == 1.0)):
-        raise ValueError("Q must have exactly one 1 per row and per column")
-    return q
+    raise ValueError("Q must have exactly one 1 per row and per column")
 
 
 def sorting_supervision_loss(p, q):

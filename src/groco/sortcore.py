@@ -17,9 +17,11 @@ at once:
   rows of A values.
 - `sort_matrix` returns the full permutation matrix P, in O(n^3) per row.
   `diff_sort`, sorting supervision and `groco sort` use it, and it is the
-  reference `border_mass` is tested against. It moves each compared row
-  pair of [P | values] in place by the pair's swap probability, so a step
-  allocates only its row difference and the moved amount.
+  reference `border_mass` is tested against. It keeps the rows of
+  [P | values] in parity-major order, the even places first and then the
+  odd ones, so each step compares two contiguous row blocks; it moves each
+  compared row pair in place by the pair's swap probability, and puts the
+  rows back in place order once, when P is returned.
 
 Each accepts either a plain array (returning concrete results and keeping
 nothing of the steps) or a `diffgrad.Tensor`, on whose tape the whole
@@ -146,49 +148,97 @@ def _step_span(n: int, step: int) -> tuple[int, int]:
     return lo, lo + (n - lo) // 2 * 2
 
 
+def _parity_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy the place rows (axis 1) of `x` into `out` in parity-major order:
+    the even places 0, 2, 4, ... first, then the odd places 1, 3, 5, ..."""
+    evens = (x.shape[1] + 1) // 2
+    out[:, :evens] = x[:, 0::2]
+    out[:, evens:] = x[:, 1::2]
+    return out
+
+
+def _place_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Undo `_parity_rows`: copy the parity-major rows (axis 1) of `x` into
+    `out` in place order."""
+    evens = (x.shape[1] + 1) // 2
+    out[:, 0::2] = x[:, :evens]
+    out[:, 1::2] = x[:, evens:]
+    return out
+
+
+def _parity_blocks(n: int) -> list[tuple[slice, slice]]:
+    """(top, bottom) row blocks of the odd step and of the even step of an
+    n-input network in parity-major order; each step compares top[j] with
+    bottom[j]. The odd step pairs places (2j, 2j + 1), even[j] with odd[j];
+    the even step pairs (2j + 1, 2j + 2), odd[j] with even[j + 1]. A step
+    with no pair has empty blocks."""
+    evens = (n + 1) // 2
+    odd_pairs, even_pairs = n // 2, (n - 1) // 2
+    return [
+        (slice(0, odd_pairs), slice(evens, evens + odd_pairs)),
+        (slice(evens, evens + even_pairs), slice(1, 1 + even_pairs)),
+    ]
+
+
 def _network(values: np.ndarray, beta: float, keep: bool):
     """Run the relaxed network over every row of `values` (A, n) at once.
 
     The state is M = [P | v] of shape (A, n, n + 1): the permutation so far
-    and the running values. A step moves each compared row pair (i, j) in
-    place by its swap probability swap = f(v_i - v_j):
-    row_i -= swap * (row_i - row_j) and row_j += swap * (row_i - row_j).
-    Returns M after all n steps and, if `keep`, per step with at least one
-    pair, (first row, end row, swap, row_i - row_j, beta * (v_i - v_j)) for
+    and the running values, with its place rows in parity-major order (see
+    `_parity_rows`), so both kinds of step compare two contiguous row
+    blocks and nothing is reordered between steps. A step moves each
+    compared row pair (i, j) in place by its swap probability
+    swap = f(v_i - v_j): row_i -= swap * (row_i - row_j) and
+    row_j += swap * (row_i - row_j). Returns P after all n steps, its rows
+    back in place order, and, if `keep`, per step with at least one pair,
+    (top block, bottom block, swap, row_i - row_j, beta * (v_i - v_j)) for
     the gradient; otherwise nothing is kept and the second result is None.
     """
     rows, n = values.shape
+    evens = (n + 1) // 2
     m = np.zeros((rows, n, n + 1), dtype=np.float64)
-    m.reshape(rows, -1)[:, :: n + 2] = 1.0  # the diagonal of each P
-    m[:, :, n] = values
+    # P starts as the identity: row r < evens holds place 2r and row evens + j
+    # place 2j + 1, so within each block a row's 1 sits n + 3 entries after
+    # the previous row's
+    flat = m.reshape(rows, -1)
+    flat[:, : evens * (n + 1) : n + 3] = 1.0
+    flat[:, evens * (n + 1) + 1 :: n + 3] = 1.0
+    _parity_rows(values, m[:, :, n])
+    blocks = _parity_blocks(n)
     saved = [] if keep else None
-    for step in range(1, n + 1):
-        lo, hi = _step_span(n, step)
-        if lo == hi:
+    for step in range(n):
+        top_rows, bottom_rows = blocks[step % 2]
+        if top_rows.start == top_rows.stop:
             continue
-        top, bottom = m[:, lo:hi:2], m[:, lo + 1 : hi : 2]
+        top, bottom = m[:, top_rows], m[:, bottom_rows]
         diff = top - bottom
         beta_gap = beta * diff[..., n]
-        swap = np.arctan(beta_gap) * _INV_PI + 0.5
-        shift = swap[..., None] * diff
+        swap = np.arctan(beta_gap)
+        swap *= _INV_PI
+        swap += 0.5
+        if keep:
+            shift = swap[..., None] * diff
+            saved.append((top_rows, bottom_rows, swap, diff, beta_gap))
+        else:
+            shift = np.multiply(swap[..., None], diff, out=diff)
         top -= shift
         bottom += shift
-        if keep:
-            saved.append((lo, hi, swap, diff, beta_gap))
-    return m, saved
+    return _place_rows(m[:, :, :n], np.empty((rows, n, n))), saved
 
 
 def _vjp_sort_matrix(node, g):
     """Reverse pass through the stored steps: each step is linear in M given
     its swap probabilities, with the same in-place form as the forward, and
-    each swap depends on its pair's values."""
+    each swap depends on its pair's values. The gradient state has the
+    forward's parity-major row order, undone once on the value gradient."""
     x = node.inputs[0]
     beta = node.attrs["beta"]
     n = x.shape[-1]
-    gm = np.zeros((x.size // n, n, n + 1), dtype=np.float64)
-    gm[:, :, :n] = g.reshape(-1, n, n)
-    for lo, hi, swap, diff, beta_gap in reversed(node.attrs["saved"]):
-        g_top, g_bottom = gm[:, lo:hi:2], gm[:, lo + 1 : hi : 2]
+    rows = x.size // n
+    gm = np.zeros((rows, n, n + 1), dtype=np.float64)
+    _parity_rows(g.reshape(rows, n, n), gm[:, :, :n])
+    for top_rows, bottom_rows, swap, diff, beta_gap in reversed(node.attrs["saved"]):
+        g_top, g_bottom = gm[:, top_rows], gm[:, bottom_rows]
         g_diff = g_top - g_bottom
         g_stay = np.einsum("apk,apk->ap", g_diff, diff)
         shift = np.multiply(swap[..., None], g_diff, out=g_diff)
@@ -197,7 +247,7 @@ def _vjp_sort_matrix(node, g):
         shift[..., n] += g_stay * (beta * _INV_PI) / (1.0 + np.square(beta_gap))
         g_top -= shift
         g_bottom += shift
-    return (gm[:, :, n].reshape(x.shape),)
+    return (_place_rows(gm[:, :, n], np.empty((rows, n))).reshape(x.shape),)
 
 
 dg.VJP_RULES["sort_matrix"] = _vjp_sort_matrix
@@ -215,8 +265,9 @@ def sort_matrix(values, beta: float):
     beta = _check_beta(beta)
     taped = isinstance(values, Tensor)
     arr = _check_values(values.data if taped else values, max_ndim=2)
-    m, saved = _network(arr.reshape(-1, arr.shape[-1]), beta, keep=taped)
-    p = m[:, :, :-1].reshape(arr.shape + arr.shape[-1:])
+    n = arr.shape[-1]
+    p, saved = _network(arr.reshape(-1, n), beta, keep=taped)
+    p = p.reshape(arr.shape + (n,))
     if taped:
         return values.tape._append("sort_matrix", (values,), p, beta=beta, saved=saved)
     return p

@@ -203,6 +203,32 @@ def test_sorting_supervision_rejects_bad_q():
         ls.sorting_supervision_loss(np.eye(3), np.eye(2))
 
 
+_SQUARE = "Q must be square"
+_ZERO_ONE = "Q must contain only 0/1 entries"
+_ONE_EACH = "Q must have exactly one 1 per row and per column"
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (np.ones((2, 3)), _SQUARE),
+        (np.array([[1.0, 0.0], [0.0, 0.5]]), _ZERO_ONE),
+        # rows and columns both sum to 1, but the entries are -1 and 2
+        (np.array([[-1.0, 2.0], [2.0, -1.0]]), _ZERO_ONE),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), _ONE_EACH),
+        (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), _ONE_EACH),
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), _ONE_EACH),
+        (np.array([[1.0, math.nan], [0.0, 1.0]]), _ZERO_ONE),
+    ],
+    ids=["non-square", "half-entry", "minus-one-and-two-row", "two-ones-in-a-row", "repeated-column",
+         "zero-row", "nan"],
+)
+def test_sorting_supervision_rejects_each_non_permutation_q(q, message):
+    p = np.full(q.shape[-1:] * 2, 0.5)
+    with pytest.raises(ValueError, match=message):
+        ls.sorting_supervision_loss(p, q)
+
+
 def test_sorting_supervision_saturated_p_reaches_the_clamp_with_zero_gradient():
     # at beta=64 a gap of 1e6 puts every entry of P within 1e-7 of 0 or 1,
     # so every term sits at the clamp and costs -log(1 - eps)

@@ -202,6 +202,65 @@ def test_sort_matrix_never_writes_to_its_input():
         assert np.array_equal(dg.VJP_RULES["sort_matrix"](node, g)[0], grad)
 
 
+def _stride2_sort_matrix(rows, beta, g):
+    """Reference network with its rows in place order: each step compares
+    the stride-2 rows m[:, lo:hi:2] and m[:, lo + 1:hi:2]. Returns P of each
+    row of `rows` (A, n) and the value gradient for the upstream gradient
+    `g` (A, n, n) on P."""
+    count, n = rows.shape
+    m = np.zeros((count, n, n + 1))
+    m[:, np.arange(n), np.arange(n)] = 1.0
+    m[:, :, n] = rows
+    saved = []
+    for step in range(1, n + 1):
+        lo = 1 - step % 2
+        hi = lo + (n - lo) // 2 * 2
+        if lo == hi:
+            continue
+        top, bottom = m[:, lo:hi:2], m[:, lo + 1 : hi : 2]
+        diff = top - bottom
+        beta_gap = beta * diff[..., n]
+        swap = np.arctan(beta_gap) * (1.0 / math.pi) + 0.5
+        shift = swap[..., None] * diff
+        top -= shift
+        bottom += shift
+        saved.append((lo, hi, swap, diff, beta_gap))
+    gm = np.zeros_like(m)
+    gm[:, :, :n] = g
+    for lo, hi, swap, diff, beta_gap in reversed(saved):
+        g_top, g_bottom = gm[:, lo:hi:2], gm[:, lo + 1 : hi : 2]
+        g_diff = g_top - g_bottom
+        g_stay = np.einsum("apk,apk->ap", g_diff, diff)
+        shift = np.multiply(swap[..., None], g_diff, out=g_diff)
+        shift[..., n] += g_stay * (beta * (1.0 / math.pi)) / (1.0 + np.square(beta_gap))
+        g_top -= shift
+        g_bottom += shift
+    return m[:, :, :n], gm[:, :, n]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 33, 64])
+def test_sort_matrix_parity_major_layout_is_bitwise_the_stride2_network(n):
+    rng = np.random.default_rng(100 + n)
+    for beta in (1.0, 64.0):
+        rows = _tied_batch(rng, n) * n
+        g = rng.normal(size=(4, n, n))
+        expect_p, expect_grad = _stride2_sort_matrix(rows, beta, g)
+        tape = dg.Tape()
+        x = tape.variable(rows)
+        taped = sc.sort_matrix(x, beta)
+        grad = dg.backward(tape, dg.sum(dg.mul(taped, g))).grad(x)
+        assert _same_bits(taped.data, expect_p), (n, beta)
+        assert _same_bits(grad, expect_grad), (n, beta)
+        assert _same_bits(sc.sort_matrix(rows, beta), taped.data)
+        for row, got in zip(rows, taped.data):
+            assert _same_bits(sc.sort_matrix(row, beta), got)
+
+
 def _place_counts(n):
     return sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1)))
 
