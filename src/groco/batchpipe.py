@@ -5,10 +5,10 @@ views of the same image, its negatives the views of all other images. Both
 groups are hard index selections (top-N strongest negatives, ascending
 pre-ordering), made for all anchors at once as one row per anchor. The
 distance matrix is computed as plain numpy; only the selected (A, m - 1 + N)
-block is recorded, as one tape op whose hand-written gradient routes through
-the selected entries alone. Stop-gradient (the default) lives in that
-gradient: the other views count as constants, so the loss gradient reaches
-only each anchor's own projection.
+block is recorded, as one tape op whose hand-written gradient gathers the
+selected rows alone instead of forming an (A, A) product. Stop-gradient (the
+default) lives in that gradient: the other views count as constants, so the
+loss gradient reaches only each anchor's own projection.
 
 Projections may be a plain array (losses come back as floats) or a
 `diffgrad.Tensor` (losses are recorded scalars).
@@ -95,7 +95,10 @@ def select_top_negatives(d_all, num_negatives: int) -> np.ndarray:
     """Indices of the min(num_negatives, len) smallest distances (the
     strongest negatives), ascending, ties broken by lower original index:
     exactly `np.argsort(d_all, kind="stable")[..., :num_negatives]`, found by
-    a per-row partition and a stable sort of the survivors only.
+    a per-row partition, one comparison with each row's N-th smallest value
+    (falling back to index order among the ties there when it keeps too
+    many) and a stable sort of the survivors only. The input is not written
+    to.
     A 2-D input is one distance list per row and gives one index row each."""
     d = np.asarray(d_all, dtype=np.float64)
     if d.ndim not in (1, 2) or d.size < 1:
@@ -111,13 +114,16 @@ def select_top_negatives(d_all, num_negatives: int) -> np.ndarray:
     t = np.partition(rows, k - 1, axis=1)[:, [k - 1]]  # a copy: the partition is freed
     if np.isnan(t).any():
         return np.argsort(d, axis=-1, kind="stable")[..., :k]
-    keep = rows < t
-    at_t = rows == t
-    room = k - keep.sum(axis=1, keepdims=True)  # places left for entries equal to t
-    crowded = np.flatnonzero(at_t.sum(axis=1) > room[:, 0])
-    if crowded.size:  # too many ties at t: the lowest indices win
+    keep = rows <= t  # at least k per row, and exactly k unless a tie sits at t
+    if np.count_nonzero(keep) != rows.shape[0] * k:
+        # a tie at t holds more entries than places are left: of the entries
+        # equal to t, the lowest indices win
+        keep = rows < t
+        at_t = rows == t
+        room = k - keep.sum(axis=1, keepdims=True)  # places left for entries equal to t
+        crowded = np.flatnonzero(at_t.sum(axis=1) > room[:, 0])
         at_t[crowded] &= np.cumsum(at_t[crowded], axis=1) <= room[crowded]
-    keep |= at_t
+        keep |= at_t
     cols = (np.flatnonzero(keep) % rows.shape[1]).reshape(rows.shape[0], k)  # ascending column per row
     return _ascending(rows, cols).reshape(d.shape[:-1] + (k,))
 
@@ -142,7 +148,9 @@ def _select_groups(
     batch: ViewBatch, raw: np.ndarray, num_negatives: int, random_negatives: bool, preorder: bool, rng
 ):
     """Columns of every anchor's positives (A, m - 1) and negatives (A, N)
-    in the distance matrix `raw`, one row per anchor."""
+    in the distance matrix `raw`, one row per anchor. For the top-N
+    negatives `raw` must be writable: each anchor's own columns are masked
+    in place and put back before this returns."""
     own = _own_image_columns(batch)
     rows = np.arange(batch.num_views)[:, None]
     pos = own[own != rows].reshape(batch.num_views, -1)
@@ -159,25 +167,29 @@ def _select_groups(
     else:
         # +inf sorts after every distance, so with N capped at the number of
         # negatives no column of the anchor's own image is ever taken
-        masked = raw.copy()
-        masked[rows, own] = np.inf
-        neg = select_top_negatives(masked, min(num_negatives, batch.num_views - batch.views_per_image))
+        own_d = raw[rows, own]
+        raw[rows, own] = np.inf
+        neg = select_top_negatives(raw, min(num_negatives, batch.num_views - batch.views_per_image))
+        raw[rows, own] = own_d
         if not preorder:
             neg = np.sort(neg, axis=1)  # keep batch order
     return (_ascending(raw, pos) if preorder else pos), neg
 
 
 def _vjp_selected_distances(node, g):
-    """Scatter the block's gradient into a dense (A, A) matrix G over the
-    distances d = -x_hat x_hat^T. The anchor side gets -G x_hat and, without
-    stop-gradient, the other side -G^T x_hat; the row normalization then
-    maps each row's gradient h to (h - x_hat <h, x_hat>) / |x|."""
+    """The distances are d = -x_hat x_hat^T. Anchor i's gradient is
+    -sum_c g_ic x_hat_c over its selected columns c, gathered from those
+    rows alone. Without stop-gradient each column c also gets -g_ic x_hat_i:
+    a row selects each column at most once, so the pairs are scattered into
+    a zero (A, A) matrix whose transpose one matmul sums. The row
+    normalization then maps each row's gradient h to
+    (h - x_hat <h, x_hat>) / |x|."""
     unit, norms, cols = node.attrs["unit"], node.attrs["norms"], node.attrs["cols"]
-    dense = np.zeros((unit.shape[0],) * 2)
-    dense[np.arange(unit.shape[0])[:, None], cols] = g
+    h = np.matmul(g[:, None, :], np.take(unit, cols, axis=0)).reshape(unit.shape)
     if not node.attrs["stop_grad"]:
-        dense += dense.T
-    h = dense @ unit
+        scattered = np.zeros((unit.shape[0],) * 2)
+        scattered[cols, np.arange(unit.shape[0])[:, None]] = g
+        h += scattered @ unit
     np.negative(h, out=h)
     h -= unit * np.sum(h * unit, axis=1, keepdims=True)
     return (h / norms,)

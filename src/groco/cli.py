@@ -8,6 +8,7 @@ GROCO_SEED overrides the default --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -144,7 +145,10 @@ def cmd_eval(args) -> int:
         meta={"ckpt": str(args.ckpt), "data": str(args.data), "seed": str(args.seed)},
     )
     if args.mode == "knn":
-        ks = [int(k) for k in _parse_floats(args.k, "--k")]
+        ks = _parse_floats(args.k, "--k")
+        if not all(k.is_integer() for k in ks):
+            raise ValueError(f"--k must be comma-separated integers, got {args.k!r}")
+        ks = [int(k) for k in ks]
         report.knn_accuracies = evals.knn_accuracies(
             train_embeds, train_ds.labels, test_embeds, test_ds.labels, ks, args.weight_tau
         )
@@ -185,6 +189,11 @@ def cmd_toy(args) -> int:
 def cmd_gradcheck(args) -> int:
     args.seed = _default_seed() if args.seed is None else args.seed
     betas = _parse_floats(args.betas, "--betas")
+    if args.kmax < 1 or args.nmax < 1:
+        raise ValueError(f"--kmax and --nmax must be >= 1, got {args.kmax} and {args.nmax}")
+    for name, value in (("--h", args.h), ("--tol", args.tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite positive real, got {value}")
     rng = np.random.default_rng(args.seed)
     worst = (-1.0, None)  # (max rel error, description)
     all_pass = True

@@ -1,7 +1,8 @@
 """Reverse-mode differentiation on a flat tape of numpy-backed tensors.
 
 The op set is deliberately small: just enough to push gradients through
-cosine distances, the losses, and a small MLP. Every op
+cosine distances, the losses, and a small MLP, whose layers are one
+`affine` op each. Every op
 function here dispatches on its arguments: given plain numpy arrays (or
 floats) it computes the forward value directly, given a `Tensor` it records
 a node on the owning `Tape`. Algorithm code elsewhere in the package is
@@ -38,6 +39,7 @@ __all__ = [
     "mul",
     "div",
     "matmul",
+    "affine",
     "log",
     "exp",
     "l2norm",
@@ -258,6 +260,27 @@ def matmul(a, b):
     return tape._append("matmul", (a, b), _matmul_forward(a.data, b.data))
 
 
+def affine(x, w, b, relu: bool):
+    """One MLP layer: `x @ w + b` for (rows, fan_in) `x`, (fan_in, fan_out)
+    `w` and (fan_out,) `b`, then ReLU if `relu`. The values are those of the
+    matmul, add and clamp(lo=0) chain. Recorded as one op with `w` and `b`
+    as inputs, and `x` too when it is a tensor; a plain `x` gets no
+    gradient."""
+    tape = _find_tape(x, w, b)
+    xd, wd, bd = (t.data if isinstance(t, Tensor) else _as_array(t) for t in (x, w, b))
+    if xd.ndim != 2 or wd.ndim != 2 or bd.shape != wd.shape[1:]:
+        raise ValueError(f"affine expects (rows, fan_in) @ (fan_in, fan_out) + (fan_out,), got "
+                         f"{xd.shape} @ {wd.shape} + {bd.shape}")
+    out = _matmul_forward(xd, wd)
+    out += bd
+    if relu:
+        np.clip(out, 0.0, None, out=out)
+    if tape is None:
+        return out
+    inputs = tuple(_lift(tape, t) for t in ((x, w, b) if isinstance(x, Tensor) else (w, b)))
+    return tape._append("affine", inputs, out, x=xd, relu=bool(relu))
+
+
 def log(x):
     if not isinstance(x, Tensor):
         x = _as_array(x)
@@ -406,6 +429,17 @@ def _vjp_matmul(node, g):
     return (bd @ g, np.outer(ad, g))
 
 
+def _vjp_affine(node, g):
+    """The chain's rules in its order: clamp's mask (out > 0 exactly where
+    the pre-activation is), add's bias sum, then matmul's two products."""
+    if node.attrs["relu"]:
+        g = g * (node.output.data > 0.0)
+    gw, gb = node.attrs["x"].T @ g, g.sum(axis=0)
+    if len(node.inputs) == 2:
+        return (gw, gb)
+    return (g @ node.inputs[1].data.T, gw, gb)
+
+
 def _vjp_log(node, g):
     return (g / node.inputs[0].data,)
 
@@ -474,6 +508,7 @@ VJP_RULES = {
     "mul": _vjp_mul,
     "div": _vjp_div,
     "matmul": _vjp_matmul,
+    "affine": _vjp_affine,
     "log": _vjp_log,
     "exp": _vjp_exp,
     "sum": _vjp_sum,

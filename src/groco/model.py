@@ -101,18 +101,15 @@ def init_params(
 
 
 def _forward_core(encoder, projection, x):
-    """Shared forward over plain arrays or tape tensors; ReLU via clamp."""
+    """Shared forward over plain arrays or tape tensors, one `affine` op per
+    layer with ReLU on all but each stack's last. A plain `x` gets no
+    gradient."""
     h = x
     for i, (w, b) in enumerate(encoder):
-        h = dg.matmul(h, w) + b
-        if i < len(encoder) - 1:
-            h = dg.clamp(h, lo=0.0)
+        h = dg.affine(h, w, b, relu=i < len(encoder) - 1)
     representation = h
-    h = representation
     for i, (w, b) in enumerate(projection):
-        h = dg.matmul(h, w) + b
-        if i < len(projection) - 1:
-            h = dg.clamp(h, lo=0.0)
+        h = dg.affine(h, w, b, relu=i < len(projection) - 1)
     return representation, h
 
 
@@ -382,7 +379,7 @@ def train(dataset: Dataset, config: TrainConfig, metrics_path=None) -> TrainResu
             tape = dg.Tape()
             enc_t = [(tape.variable(w), tape.variable(b)) for w, b in params.encoder]
             proj_t = [(tape.variable(w), tape.variable(b)) for w, b in params.projection]
-            _, projections = _forward_core(enc_t, proj_t, tape.constant(views))
+            _, projections = _forward_core(enc_t, proj_t, views)
             batch = batchpipe.ViewBatch(projections, image_id, m)
             loss = batchpipe.batch_loss(
                 batch,

@@ -12,16 +12,18 @@ at once:
 - `border_mass` returns only each input's mass in the first k sorted places,
   s^T P for the indicator s of those places. It runs the network on the
   values alone and pushes s back through the steps, in O(n^2) per row. The
-  group-ordering loss uses it. Internally it works place-major, on (n, A)
-  copies of the rows, so each step's compared places are whole contiguous
-  rows of A values.
+  group-ordering loss uses it. It works on (n, A) copies of the rows, one
+  row of A values per place.
 - `sort_matrix` returns the full permutation matrix P, in O(n^3) per row.
   `diff_sort`, sorting supervision and `groco sort` use it, and it is the
-  reference `border_mass` is tested against. It keeps the rows of
-  [P | values] in parity-major order, the even places first and then the
-  odd ones, so each step compares two contiguous row blocks; it moves each
-  compared row pair in place by the pair's swap probability, and puts the
-  rows back in place order once, when P is returned.
+  reference `border_mass` is tested against. Its state holds the rows of
+  [P | values] and moves each compared row pair in place by the pair's
+  swap probability.
+
+Both keep their places in one layout, parity-major: the even places first
+and then the odd ones, so each step compares two contiguous blocks of
+places (`_parity_blocks`). They put the places back in order once, when
+the result is returned.
 
 Each accepts either a plain array (returning concrete results and keeping
 nothing of the steps) or a `diffgrad.Tensor`, on whose tape the whole
@@ -273,34 +275,43 @@ def sort_matrix(values, beta: float):
     return p
 
 
-def _value_chain(values: np.ndarray, beta: float):
-    """Run the relaxed network on the running values of every column of the
-    place-major `values` (n, A) alone. Returns, per step with at least one
-    pair, (first place, end place, stay, v_i - v_j) with the values entering
-    the step; these are the same stays `_network` computes. The caller's
-    array is not written to."""
-    v = values.copy()
-    n = v.shape[0]
+def _parity_major(rows: np.ndarray) -> np.ndarray:
+    """A (n, A) copy of the (A, n) `rows`, one row per place, the places in
+    parity-major order (see `_parity_rows`)."""
+    out = np.empty(rows.shape[::-1], dtype=np.float64)
+    _parity_rows(rows, out.T)
+    return out
+
+
+def _value_chain(rows: np.ndarray, beta: float):
+    """Run the relaxed network on the running values of every row of `rows`
+    (A, n) alone, on a parity-major (n, A) copy (see `_parity_major`).
+    Returns, per step with at least one pair, (top block, bottom block,
+    stay, v_i - v_j) with the values entering the step; these are the same
+    stays `_network` computes. The caller's array is not written to."""
+    v = _parity_major(rows)
+    blocks = _parity_blocks(v.shape[0])
     steps = []
-    for step in range(1, n + 1):
-        lo, hi = _step_span(n, step)
-        if lo == hi:
+    for step in range(v.shape[0]):
+        top, bottom = blocks[step % 2]
+        if top.start == top.stop:
             continue
-        stay = np.arctan(-beta * (v[lo:hi:2] - v[lo + 1 : hi : 2])) * _INV_PI + 0.5
-        steps.append((lo, hi, stay, _swap_step(v, lo, hi, stay)))
+        stay = np.arctan(-beta * (v[top] - v[bottom])) * _INV_PI + 0.5
+        steps.append((top, bottom, stay, _swap_step(v, top, bottom, stay)))
     return steps
 
 
-def _swap_step(x: np.ndarray, lo: int, hi: int, stay: np.ndarray) -> np.ndarray:
-    """Apply one step's symmetric swap block to the place rows of `x` (n, A)
-    in place: x_i, x_j <- stay * x_i + (1 - stay) * x_j and its mirror image.
-    Returns x_i - x_j from before the step."""
-    top, bottom = x[lo:hi:2], x[lo + 1 : hi : 2]
-    gap = top - bottom
+def _swap_step(x: np.ndarray, top: slice, bottom: slice, stay: np.ndarray) -> np.ndarray:
+    """Apply one step's symmetric swap block to the parity-major place rows
+    of `x` (n, A) in place, each row of the `top` block paired with the same
+    row of the `bottom` block: x_i, x_j <- stay * x_i + (1 - stay) * x_j and
+    its mirror image. Returns x_i - x_j from before the step."""
+    x_i, x_j = x[top], x[bottom]
+    gap = x_i - x_j
     shift = stay * gap
-    new_top = bottom + shift
-    x[lo + 1 : hi : 2] = top - shift
-    x[lo:hi:2] = new_top
+    new_top = x_j + shift
+    x[bottom] = x_i - shift
+    x[top] = new_top
     return gap
 
 
@@ -309,21 +320,22 @@ def _vjp_border_mass(node, g):
     and linear given its stays. The adjoint u of the place chain runs the
     steps forwards and gives each stay (u_i - u_j)(w_i - w_j); the adjoint
     of the value chain then runs them backwards, adds its own stay term, and
-    turns each stay gradient into one on its pair's values."""
+    turns each stay gradient into one on its pair's values. Both adjoints
+    are parity-major, like the chains."""
     x = node.inputs[0]
     beta = node.attrs["beta"]
     steps, w_gaps = node.attrs["steps"], node.attrs["w_gaps"]
     n = x.shape[-1]
-    u = np.array(np.reshape(g, (-1, n)).T, dtype=np.float64, order="C")  # a place-major copy
-    g_stays = [_swap_step(u, lo, hi, stay) * w_gap for (lo, hi, stay, _), w_gap in zip(steps, w_gaps)]
+    u = _parity_major(np.reshape(g, (-1, n)))
+    g_stays = [_swap_step(u, top, bottom, stay) * w_gap for (top, bottom, stay, _), w_gap in zip(steps, w_gaps)]
     a = np.zeros_like(u)
-    for (lo, hi, stay, gap), g_stay in zip(reversed(steps), reversed(g_stays)):
-        g_stay += _swap_step(a, lo, hi, stay) * gap
+    for (top, bottom, stay, gap), g_stay in zip(reversed(steps), reversed(g_stays)):
+        g_stay += _swap_step(a, top, bottom, stay) * gap
         # d stay / d(v_j - v_i), with v_j - v_i = -gap
         g_gap = g_stay * (beta * _INV_PI) / (1.0 + np.square(beta * gap))
-        a[lo + 1 : hi : 2] += g_gap
-        a[lo:hi:2] -= g_gap
-    return (np.ascontiguousarray(a.T).reshape(x.shape),)
+        a[bottom] += g_gap
+        a[top] -= g_gap
+    return (_place_rows(a.T, np.empty((u.shape[1], n))).reshape(x.shape),)
 
 
 dg.VJP_RULES["border_mass"] = _vjp_border_mass
@@ -345,12 +357,16 @@ def border_mass(values, num_positives: int, beta: float):
     k = int(num_positives)
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= num_positives <= {n}, got {k}")
-    steps = _value_chain(arr.reshape(-1, n).T, beta)
-    w = np.zeros((n, arr.size // n), dtype=np.float64)
-    w[:k] = 1.0
+    rows = arr.reshape(-1, n)
+    steps = _value_chain(rows, beta)
+    # the indicator of the first k places: places 0, 2, ... < k lead the
+    # even block and places 1, 3, ... < k the odd one
+    w = np.zeros(rows.shape[::-1], dtype=np.float64)
+    w[: (k + 1) // 2] = 1.0
+    w[(n + 1) // 2 : (n + 1) // 2 + k // 2] = 1.0
     # P = S_T ... S_1 with symmetric S_t, so s^T P = S_1 ... S_T s
-    w_gaps = [_swap_step(w, lo, hi, stay) for lo, hi, stay, _ in reversed(steps)][::-1]
-    mass = np.ascontiguousarray(w.T).reshape(arr.shape)
+    w_gaps = [_swap_step(w, top, bottom, stay) for top, bottom, stay, _ in reversed(steps)][::-1]
+    mass = _place_rows(w.T, np.empty(rows.shape)).reshape(arr.shape)
     if isinstance(values, Tensor):
         return values.tape._append("border_mass", (values,), mass, beta=beta, steps=steps, w_gaps=w_gaps)
     return mass

@@ -93,6 +93,52 @@ def test_select_top_negatives_nan_and_infinite_entries_sort_like_argsort():
         assert bp.select_top_negatives(rows, k).tolist() == expect.tolist()
 
 
+def _readonly(a):
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def test_select_top_negatives_one_comparison_and_tie_fallback_match_stable_argsort():
+    # each row's k-th smallest value t: untied rows keep exactly k entries
+    # <= t (one comparison suffices), a tie at t keeps more (the fallback
+    # ranks the tied entries by index), a NaN t sorts by argsort
+    rng = np.random.default_rng(45)
+    k = 4
+    untied = rng.permutation(24).reshape(3, 8).astype(float)
+    tied = untied.copy()
+    tied[1, np.argsort(tied[1])[k]] = np.sort(tied[1])[k - 1]  # t now occurs twice
+    infinite = untied.copy()
+    infinite[:, ::2] = np.inf
+    infinite[2, :] = np.inf  # all of row 2 ties at t = +inf
+    nan = untied.copy()
+    nan[0, ::3] = np.nan
+    nan[2, 1:] = np.nan  # fewer than k numbers: t is NaN
+    for rows, fast in ((untied, True), (tied, False), (infinite[:2], True), (infinite, False),
+                       (nan[:2], True), (nan, None)):
+        t = np.sort(rows, axis=1)[:, [k - 1]]
+        if fast is not None:
+            assert (np.count_nonzero(rows <= t) == rows.shape[0] * k) == fast
+        before = rows.copy()
+        readonly = _readonly(rows)
+        expect = np.argsort(rows, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(bp.select_top_negatives(readonly, k), expect)
+        for row, want in zip(readonly, expect):
+            assert np.array_equal(bp.select_top_negatives(row, k), want)
+        assert np.array_equal(rows, before, equal_nan=True)
+
+
+def test_select_groups_puts_the_masked_columns_back():
+    rng = np.random.default_rng(46)
+    for views in (2, 3):
+        image_id, d = _tie_heavy_layout(rng, 5, views)
+        batch = bp.ViewBatch(np.ones((5 * views, 2)), image_id, views)
+        before = d.copy()
+        for preorder in (True, False):
+            bp._select_groups(batch, d, 3, False, preorder, None)
+            assert d.tobytes() == before.tobytes()
+
+
 def test_view_batch_validation():
     rng = np.random.default_rng(41)
     with pytest.raises(ValueError):
@@ -468,7 +514,8 @@ def _dense_chain_loss(batch, kind, params, count, stop_grad, preorder, rng):
     unit = dg.div(x, dg.l2norm(x, axis=1, keepdims=True))
     others = dg.stop_grad(unit) if stop_grad else unit
     d = dg.scale(dg.matmul(unit, dg.transpose(others)), -1.0)
-    pos, neg = bp._select_groups(batch, d.data, count, rng is not None, preorder, rng)
+    # a writable copy: the selection masks the anchors' own columns in place
+    pos, neg = bp._select_groups(batch, d.data.copy(), count, rng is not None, preorder, rng)
     row_start = batch.num_views * np.arange(batch.num_views)[:, None]
     d_pos, d_neg = dg.index_select(d, row_start + pos), dg.index_select(d, row_start + neg)
     if kind == "groco":
@@ -533,6 +580,37 @@ def test_selected_distances_gradient_matches_central_differences():
 
         report = dg.grad_check(fn, raw, h=1e-6, tol=1e-6)
         assert report.passed, (views, count, random_negatives, preorder, report.max_rel_error)
+
+
+def _dense_selected_distances_vjp(node, g):
+    """The selected-distances rule as a dense product: the block's gradient
+    scattered into an (A, A) matrix G, plus G^T without stop-gradient, times
+    the unit rows."""
+    unit, norms, cols = node.attrs["unit"], node.attrs["norms"], node.attrs["cols"]
+    dense = np.zeros((unit.shape[0],) * 2)
+    dense[np.arange(unit.shape[0])[:, None], cols] = g
+    if not node.attrs["stop_grad"]:
+        dense += dense.T
+    h = -(dense @ unit)
+    h -= unit * np.sum(h * unit, axis=1, keepdims=True)
+    return (h / norms,)
+
+
+def test_selected_distances_gathered_gradient_matches_the_dense_product():
+    rng = np.random.default_rng(66)
+    for views, images, count, random_negatives in ((2, 128, 10, False), (3, 7, 4, False), (2, 9, 5, True)):
+        raw = rng.normal(size=(views * images, 16))
+        image_id = np.repeat(np.arange(images), views)
+        for stop_grad in (True, False):
+            tape = Tape()
+            draws = np.random.default_rng(67) if random_negatives else None
+            block, _, _ = bp._selected_distances(
+                bp.ViewBatch(tape.variable(raw), image_id, views), count, stop_grad, random_negatives, True, draws
+            )
+            node = tape.nodes[-1]
+            g = rng.normal(size=block.shape)
+            (got,), (expect,) = dg.VJP_RULES["selected_distances"](node, g), _dense_selected_distances_vjp(node, g)
+            assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect)), (views, count, stop_grad)
 
 
 def test_stop_grad_gives_exact_zero_rows_to_views_no_loss_anchors_on():

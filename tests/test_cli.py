@@ -166,6 +166,21 @@ def test_eval_knn_and_linear(tmp_path):
     assert "linear_probe" in proc.stdout
 
 
+def test_eval_non_integer_k_is_usage_error(tmp_path):
+    # int() used to truncate 1.9 and 10.5 to 1 and 10 and run those, and
+    # to raise an uncaught OverflowError on inf
+    proc = run_cli(*_small_train_args(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for ks in ("1.9,10.5", "3,2.5", "1,inf", "nan"):
+        proc = run_cli(
+            "eval", "--ckpt", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data.gvec"),
+            "--k", ks, "--seed", "1", cwd=tmp_path,
+        )
+        assert proc.returncode == 2, (ks, proc.stdout)
+        assert "--k must be comma-separated integers" in proc.stderr
+        assert "knn" not in proc.stdout
+
+
 def test_eval_random_init_checkpoint(tmp_path):
     import groco.model as md
 
@@ -254,6 +269,26 @@ def test_gradcheck_corrupted_vjp_fails(monkeypatch, capsys):
     assert rc == 1
     assert "FAIL" in out
     assert "coordinate" in out
+
+
+@pytest.mark.parametrize("flag,value", [("--kmax", "0"), ("--nmax", "0"), ("--kmax", "-2")])
+def test_gradcheck_group_size_below_one_is_usage_error(flag, value, capsys):
+    # a size of 0 used to check no point at all and report a pass
+    rc = gcli.main(["gradcheck", flag, value, "--betas", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "must be >= 1" in captured.err
+    assert "gradcheck pass" not in captured.out
+
+
+@pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
+                                        ("--h", "0"), ("--h", "-0.001"), ("--h", "nan"), ("--h", "inf")])
+def test_gradcheck_non_positive_or_non_finite_h_and_tol_are_usage_errors(flag, value, capsys):
+    rc = gcli.main(["gradcheck", "--kmax", "1", "--nmax", "1", "--betas", "1", flag, value])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"{flag} must be a finite positive real" in captured.err
+    assert captured.out == ""
 
 
 def test_gradcheck_h_sweep_error_curve():

@@ -48,6 +48,7 @@ def test_record_supports_every_op_kind():
         "mul": lambda: dg.mul(v, v),
         "div": lambda: dg.div(v, v),
         "matmul": lambda: dg.matmul(m, v),
+        "affine": lambda: dg.affine(m, m, v, relu=True),
         "log": lambda: dg.log(v),
         "exp": lambda: dg.exp(v),
         "sum": lambda: dg.sum(v),
@@ -63,11 +64,12 @@ def test_record_supports_every_op_kind():
         "selected_distances": lambda: bp._selected_distances(views, 2, True, False, True, None)[0],
     }
     assert set(calls) == set(dg.VJP_RULES)
+    calls["affine without relu"] = lambda: dg.affine(m, m, v, relu=False)
     for kind, call in calls.items():
         out = call()
         assert isinstance(out, Tensor)
         assert out.tape is tape
-        assert tape.nodes[-1].op_kind == kind and tape.nodes[-1].output is out
+        assert tape.nodes[-1].op_kind == kind.split()[0] and tape.nodes[-1].output is out
 
 
 def test_stop_grad_zeroes_gradient_exactly():
@@ -152,6 +154,9 @@ def _single_op_cases():
     m23 = rng.uniform(-1.5, 1.5, (2, 3))
     m32 = rng.uniform(-1.5, 1.5, (3, 2))
     w233 = rng.uniform(-1.5, 1.5, (2, 3, 3))
+    b2 = np.array([0.4, -0.3])
+    # pre-activations of m23 @ m32 + b2 at least 0.05 from the ReLU's kink
+    assert np.min(np.abs(m23 @ m32 + b2)) > 0.05 and np.any(m23 @ m32 + b2 < 0)
     return [
         ("add", lambda t, x: dg.sum(dg.add(x, t.constant([0.3, -0.2, 0.4]))), v3),
         ("sub", lambda t, x: dg.sum(dg.sub(1.5, x)), v3),
@@ -159,6 +164,10 @@ def _single_op_cases():
         ("div", lambda t, x: dg.sum(dg.div(1.0, x)), v3),
         ("matmul", lambda t, x: dg.sum(dg.matmul(x, m32)), m23.copy()),
         ("matmul_vec", lambda t, x: dg.sum(dg.matmul(m23, x)), v3),
+        ("affine_x", lambda t, x: dg.sum(dg.mul(dg.affine(x, m32, b2, relu=False), m23[:, :2])), m23.copy()),
+        ("affine_x_relu", lambda t, x: dg.sum(dg.mul(dg.affine(x, m32, b2, relu=True), m23[:, :2])), m23.copy()),
+        ("affine_w_relu", lambda t, x: dg.sum(dg.mul(dg.affine(m23, x, b2, relu=True), m23[:, :2])), m32.copy()),
+        ("affine_b_relu", lambda t, x: dg.sum(dg.mul(dg.affine(m23, m32, x, relu=True), m23[:, :2])), b2.copy()),
         ("log", lambda t, x: dg.sum(dg.log(x)), v3),
         ("exp", lambda t, x: dg.sum(dg.exp(x)), v3),
         ("l2norm", lambda t, x: dg.sum(dg.l2norm(x, axis=1, keepdims=True)), m23.copy()),
@@ -182,6 +191,55 @@ def _single_op_cases():
 def test_single_op_vjps_match_central_differences(name, fn, point):
     report = dg.grad_check(fn, point, h=1e-6, tol=1e-7)
     assert report.passed, f"{name}: max rel error {report.max_rel_error}"
+
+
+def _chain_layer(x, w, b, relu):
+    """The layer `affine` replaces, built from matmul, add and clamp."""
+    h = dg.add(dg.matmul(x, w), b)
+    return dg.clamp(h, lo=0.0) if relu else h
+
+
+@pytest.mark.parametrize("relu", [True, False])
+def test_affine_is_bitwise_the_matmul_add_clamp_chain(relu):
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((6, 4))
+    w = rng.standard_normal((4, 5))
+    b = rng.standard_normal(5)
+    x[0] = 0.0
+    b[1] = 0.0  # row 0, column 1: a pre-activation of exactly 0
+    b[2] = -1e300  # column 2: negative everywhere
+    weights = rng.standard_normal((6, 5))
+    assert np.array_equal(dg.affine(x, w, b, relu), _chain_layer(x, w, b, relu))
+
+    results = []
+    for layer in (dg.affine, _chain_layer):
+        tape = Tape()
+        xt, wt, bt = tape.variable(x), tape.variable(w), tape.variable(b)
+        out = layer(xt, wt, bt, relu)
+        gmap = dg.backward(tape, dg.sum(dg.mul(out, weights)))
+        results.append((out.data, gmap.grad(xt), gmap.grad(wt), gmap.grad(bt)))
+    for got, expect in zip(*results):
+        assert np.array_equal(got, expect)
+    if relu:  # the kink gets clamp's zero gradient: x > lo, not x >= lo
+        _, _, gw, gb = results[0]
+        assert results[0][0][0, 1] == 0.0
+        assert gb[1] == np.sum(weights[1:, 1] * ((x[1:] @ w[:, 1] + b[1]) > 0))
+        assert gb[2] == 0.0 and np.all(gw[:, 2] == 0.0)
+
+
+def test_affine_records_one_node_and_no_gradient_for_a_plain_input():
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((3, 2))
+    tape = Tape()
+    w, b = tape.variable(rng.standard_normal((2, 4))), tape.variable(rng.standard_normal(4))
+    out = dg.affine(x, w, b, relu=True)
+    node = tape.nodes[-1]
+    assert len(tape.nodes) == 1 and node.inputs == (w, b)
+    assert len(dg.VJP_RULES["affine"](node, np.ones(out.shape))) == 2
+    with pytest.raises(ValueError):
+        dg.affine(x, w, tape.variable(np.ones(3)), relu=False)
+    with pytest.raises(ValueError):
+        dg.affine(x[0], w, b, relu=False)
 
 
 def test_numpy_mode_matches_tape_mode():

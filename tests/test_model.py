@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from groco import batchpipe as bp
 from groco import dataio as dio
+from groco import diffgrad as dg
 from groco import model as md
 from groco.model import CheckpointFormatError, TrainConfig
 
@@ -212,9 +214,10 @@ def test_train_all_loss_kinds_complete():
         assert all(np.isfinite(v) for v in result.step_losses)
 
 
-def test_default_step_records_16_tape_nodes(monkeypatch):
-    # 10 for the two-layer encoder and head, 1 selected-distances op, 2 column
-    # gathers, 3 for the group-ordering loss (concat, border mass, clamped BCE)
+def test_default_step_records_10_tape_nodes(monkeypatch):
+    # 4 affine layers for the two-layer encoder and head, 1 selected-distances
+    # op, 2 column gathers, 3 for the group-ordering loss (concat, border
+    # mass, clamped BCE)
     seen = []
     real = md.dg.backward
 
@@ -224,7 +227,47 @@ def test_default_step_records_16_tape_nodes(monkeypatch):
 
     monkeypatch.setattr(md.dg, "backward", counting)
     md.train(dio.synth_generate(dio.SynthConfig(per_cluster=16)), TrainConfig(epochs=2))
-    assert seen == [16, 16]
+    assert seen == [10, 10]
+
+
+def _chain_forward(params, tape, views):
+    """The encoder and head as matmul, add and clamp ops, one node each."""
+    tensors = [(tape.variable(w), tape.variable(b)) for w, b in params.encoder + params.projection]
+    h = tape.constant(views)
+    for i, (w, b) in enumerate(tensors):
+        h = dg.matmul(h, w) + b
+        if i not in (len(params.encoder) - 1, len(tensors) - 1):
+            h = dg.clamp(h, lo=0.0)
+    return tensors, h
+
+
+def test_default_step_is_bitwise_the_matmul_add_clamp_chain():
+    # the projections, the loss and all 8 parameter gradients of a default
+    # GroCo step, with one affine op per layer and with the 10-op chain
+    rng = np.random.default_rng(21)
+    params = md.init_params(32, seed=4)
+    views = rng.standard_normal((256, 32))
+    image_id = np.repeat(np.arange(128), 2)
+    loss_params = TrainConfig().loss_params()
+    results = []
+    for build in ("affine", "chain"):
+        tape = dg.Tape()
+        if build == "affine":
+            tensors = [(tape.variable(w), tape.variable(b)) for w, b in params.encoder + params.projection]
+            _, proj = md._forward_core(tensors[:2], tensors[2:], views)
+        else:
+            tensors, proj = _chain_forward(params, tape, views)
+        loss = bp.batch_loss(bp.ViewBatch(proj, image_id, 2), "groco", loss_params)
+        gmap = dg.backward(tape, loss)
+        results.append((proj.data, float(loss.data), [gmap.grad(t) for pair in tensors for t in pair]))
+    (proj, loss, grads), (chain_proj, chain_loss, chain_grads) = results
+    assert np.array_equal(proj, chain_proj)
+    assert loss == chain_loss
+    assert len(grads) == 8
+    for g, chain_g in zip(grads, chain_grads):
+        assert np.array_equal(g, chain_g)
+    rep, plain_proj = md.forward(params, views)
+    assert np.array_equal(plain_proj, proj)
 
 
 def test_train_ablation_flags_complete():

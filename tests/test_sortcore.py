@@ -261,6 +261,69 @@ def test_sort_matrix_parity_major_layout_is_bitwise_the_stride2_network(n):
             assert _same_bits(sc.sort_matrix(row, beta), got)
 
 
+def _stride2_border_mass(rows, k, beta, g):
+    """Reference border-mass kernel with its places in order, (n, A): each
+    step compares the stride-2 rows x[lo:hi:2] and x[lo + 1:hi:2]. Returns
+    the mass of each row of `rows` (A, n) in the first k places, and the
+    value gradient for the upstream gradient `g` (A, n) on the mass."""
+
+    def swap_step(x, lo, hi, stay):
+        top, bottom = x[lo:hi:2], x[lo + 1 : hi : 2]
+        gap = top - bottom
+        shift = stay * gap
+        new_top = bottom + shift
+        x[lo + 1 : hi : 2] = top - shift
+        x[lo:hi:2] = new_top
+        return gap
+
+    n = rows.shape[1]
+    v = rows.T.copy()
+    steps = []
+    for step in range(1, n + 1):
+        lo = 1 - step % 2
+        hi = lo + (n - lo) // 2 * 2
+        if lo == hi:
+            continue
+        stay = np.arctan(-beta * (v[lo:hi:2] - v[lo + 1 : hi : 2])) * (1.0 / math.pi) + 0.5
+        steps.append((lo, hi, stay, swap_step(v, lo, hi, stay)))
+    w = np.zeros((n, rows.shape[0]))
+    w[:k] = 1.0
+    w_gaps = [swap_step(w, lo, hi, stay) for lo, hi, stay, _ in reversed(steps)][::-1]
+    u = g.T.copy()
+    g_stays = [swap_step(u, lo, hi, stay) * w_gap for (lo, hi, stay, _), w_gap in zip(steps, w_gaps)]
+    a = np.zeros_like(u)
+    for (lo, hi, stay, gap), g_stay in zip(reversed(steps), reversed(g_stays)):
+        g_stay += swap_step(a, lo, hi, stay) * gap
+        g_gap = g_stay * (beta * (1.0 / math.pi)) / (1.0 + np.square(beta * gap))
+        a[lo + 1 : hi : 2] += g_gap
+        a[lo:hi:2] -= g_gap
+    return w.T, a.T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 11, 16])
+def test_border_mass_parity_major_layout_is_bitwise_the_stride2_kernel(n):
+    rng = np.random.default_rng(200 + n)
+    for beta in (1.0, 64.0):
+        for k in sorted({1, n - 1}):
+            rows = _tied_batch(rng, n) * n
+            g = rng.normal(size=rows.shape)
+            expect_mass, expect_grad = _stride2_border_mass(rows, k, beta, g)
+            tape = dg.Tape()
+            x = tape.variable(rows)
+            taped = sc.border_mass(x, k, beta)
+            grad = dg.backward(tape, dg.sum(dg.mul(taped, g))).grad(x)
+            assert _same_bits(taped.data, expect_mass), (n, beta, k)
+            assert _same_bits(grad, expect_grad), (n, beta, k)
+            assert _same_bits(sc.border_mass(rows, k, beta), expect_mass)
+            for row, row_g, mass, row_grad in zip(rows, g, expect_mass, expect_grad):
+                assert _same_bits(sc.border_mass(row, k, beta), mass)
+                tape = dg.Tape()
+                x = tape.variable(row)
+                taped = sc.border_mass(x, k, beta)
+                assert _same_bits(taped.data, mass)
+                assert _same_bits(dg.backward(tape, dg.sum(dg.mul(taped, row_g))).grad(x), row_grad)
+
+
 def _place_counts(n):
     return sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1)))
 
