@@ -10,6 +10,11 @@ selected rows alone instead of forming an (A, A) product. Stop-gradient (the
 default) lives in that gradient: the other views count as constants, so the
 loss gradient reaches only each anchor's own projection.
 
+Each block row is [positives | negatives], each group ascending when
+pre-ordered, which is the row the group-ordering loss sorts: that loss takes
+the block whole, in one call. InfoNCE and triplet split it into the two
+groups first.
+
 Projections may be a plain array (losses come back as floats) or a
 `diffgrad.Tensor` (losses are recorded scalars).
 """
@@ -27,7 +32,6 @@ from .losses import GroCoParams, InfoNCEParams, TripletParams
 
 __all__ = [
     "ViewBatch",
-    "cosine_distance",
     "select_top_negatives",
     "batch_loss",
 ]
@@ -75,20 +79,6 @@ def _raw2d(x) -> np.ndarray:
     if raw.ndim != 2:
         raise ValueError(f"projections must be 2-D, got shape {raw.shape}")
     return raw
-
-
-def cosine_distance(x, y) -> float:
-    """Negative cosine similarity of two vectors; -1 for aligned inputs."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"expected equal-length vectors, got {x.shape}, {y.shape}")
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if nx == 0.0:
-        raise NumericError("zero-norm vector: x")
-    if ny == 0.0:
-        raise NumericError("zero-norm vector: y")
-    return float(-np.dot(x, y) / (nx * ny))
 
 
 def select_top_negatives(d_all, num_negatives: int) -> np.ndarray:
@@ -239,6 +229,16 @@ def _split(block, num_positives: int):
     )
 
 
+def _check_preordered(block, num_positives: int) -> None:
+    """Reject a block row whose positive or negative group descends; the
+    step from the last positive to the first negative may go either way."""
+    raw = block.data if isinstance(block, Tensor) else block
+    steps = np.diff(raw, axis=1)
+    steps[:, num_positives - 1] = 0.0
+    if np.any(steps < 0):
+        raise ValueError("each group of the selected distances must be non-descending (pre-ordered)")
+
+
 def batch_loss(
     batch: ViewBatch,
     loss_kind: str,
@@ -256,14 +256,12 @@ def batch_loss(
     The positive group of an anchor is the other views of its image, so its
     size is always `batch.views_per_image - 1`. The negative group size comes
     from `params.num_negatives` for the group-ordering loss and from
-    `num_negatives` otherwise; the contrastive loss uses all available
-    negatives unless `infonce_top_n` is set. Either count is capped at the
-    negatives the batch holds.
+    `num_negatives` for triplet and for InfoNCE with `infonce_top_n`; without
+    it InfoNCE uses all available negatives. Only a count that is used is
+    checked, and either count is capped at the negatives the batch holds.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss_kind {loss_kind!r}, expected one of {LOSS_KINDS}")
-    if num_negatives < 1:
-        raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
     if loss_kind == "groco":
         if not isinstance(params, GroCoParams):
             raise ValueError("groco loss requires GroCoParams")
@@ -276,13 +274,16 @@ def batch_loss(
         if not isinstance(params, TripletParams):
             raise ValueError("triplet loss requires TripletParams")
         effective_n = num_negatives
+    if effective_n < 1:
+        raise ValueError(f"num_negatives must be >= 1, got {effective_n}")
 
-    block, pos, neg = _selected_distances(batch, effective_n, stop_grad, random_negatives, preorder, rng)
-    if loss_kind == "groco" and not preorder:
-        return losses.group_loss_from_concat(block, pos.shape[1], params.beta)
-    d_pos, d_neg = _split(block, pos.shape[1])
+    block, _, _ = _selected_distances(batch, effective_n, stop_grad, random_negatives, preorder, rng)
+    num_positives = batch.views_per_image - 1
     if loss_kind == "groco":
-        return losses.groco_loss(d_pos, d_neg, params)
+        if preorder:
+            _check_preordered(block, num_positives)
+        return losses.group_loss_from_concat(block, num_positives, params.beta)
+    d_pos, d_neg = _split(block, num_positives)
     if loss_kind == "infonce":
         return losses.infonce_loss(d_pos, d_neg, params)
     return losses.triplet_loss(d_pos, d_neg, params)

@@ -227,12 +227,12 @@ def toy_dynamics(loss_kind: str, init_similarities, steps: int, lr: float, param
         tape = dg.Tape()
         s = tape.variable(sims)
         d = dg.scale(s, -1.0)
-        d_pos = dg.index_select(d, np.array([0], dtype=np.intp))
         if loss_kind == "groco":
             neg_order = np.argsort(-sims[1:], kind="stable")  # ascending distance
-            d_neg = dg.index_select(d, 1 + neg_order)
-            loss = losses.groco_loss(d_pos, d_neg, params)
+            row = dg.index_select(d, np.concatenate([[0], 1 + neg_order]))
+            loss = losses.group_loss_from_concat(row, 1, params.beta)
         else:
+            d_pos = dg.index_select(d, np.array([0], dtype=np.intp))
             d_neg = dg.index_select(d, 1 + np.arange(neg_count, dtype=np.intp))
             loss = losses.infonce_loss(d_pos, d_neg, params)
         grad = dg.backward(tape, loss).grad(s)

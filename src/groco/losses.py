@@ -177,8 +177,11 @@ def group_loss_from_concat(d, num_positives: int, beta: float):
     """Group-ordering loss over already concatenated distance lists whose
     first `num_positives` entries are the positive group.
 
-    No ordering validation happens here; this is the entry point for the
-    ablation that feeds unordered groups to the sorting network.
+    The batch pipeline and the optimization-dynamics experiment call it on
+    one [positives | negatives] row per anchor, for both pre-ordering
+    settings. Non-finite values are rejected, but the order is not checked
+    here: with pre-ordering the caller checks it, and without it the
+    unordered groups go to the sorting network as they are.
     """
     arr = _check_group("distances", d)
     k = _check_split(arr, num_positives)

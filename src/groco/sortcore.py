@@ -103,12 +103,6 @@ class HardPermutation:
     def n(self) -> int:
         return self.mapping.size
 
-    def apply(self, values) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        out = np.empty_like(values)
-        out[self.mapping] = values
-        return out
-
 
 def permutation_matrix(perm: HardPermutation) -> np.ndarray:
     """0/1 matrix of a hard permutation, same row/column convention as
@@ -140,14 +134,6 @@ def soft_swap(d_i: float, d_j: float, beta: float) -> tuple[float, float]:
     lo = d_i * f_ji + d_j * f_ij
     hi = d_i * f_ij + d_j * f_ji
     return lo, hi
-
-
-def _step_span(n: int, step: int) -> tuple[int, int]:
-    """Places (lo, hi) of the 1-based `step` of an n-input network: it
-    compares (i, i + 1) for i in range(lo, hi, 2), and hi == lo when it has
-    no pair. Odd steps start at place 0, even steps at place 1."""
-    lo = 1 - step % 2
-    return lo, lo + (n - lo) // 2 * 2
 
 
 def _parity_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -391,17 +377,10 @@ def diff_sort(values, beta: float):
 
 def hard_sort(values) -> tuple[np.ndarray, HardPermutation]:
     """Discrete odd-even network: non-descending output, stable on ties
-    (earlier input index wins)."""
+    (earlier input index wins). A network that swaps only on a strict `>`
+    is a stable sort, so the result is that of a stable argsort."""
     arr = _check_values(values)
-    n = arr.size
-    work = arr.copy()
-    origin = list(range(n))
-    for step in range(1, n + 1):
-        for i in range(*_step_span(n, step), 2):
-            if work[i] > work[i + 1]:
-                work[i], work[i + 1] = work[i + 1], work[i]
-                origin[i], origin[i + 1] = origin[i + 1], origin[i]
-    mapping = np.empty(n, dtype=np.intp)
-    for pos, src in enumerate(origin):
-        mapping[src] = pos
-    return work, HardPermutation(mapping)
+    order = np.argsort(arr, kind="stable")
+    mapping = np.empty(arr.size, dtype=np.intp)
+    mapping[order] = np.arange(arr.size)
+    return arr[order], HardPermutation(mapping)

@@ -20,19 +20,9 @@ def _make_batch(rng, images=3, views=2, dim=4, as_tensor=False):
     return bp.ViewBatch(projections, image_id, views)
 
 
-def test_cosine_distance_values():
-    x = np.array([1.0, 2.0, 3.0])
-    assert bp.cosine_distance(x, x) == pytest.approx(-1.0, abs=1e-15)
-    assert bp.cosine_distance([1.0, 0.0], [0.0, 2.0]) == pytest.approx(0.0, abs=1e-15)
-    assert bp.cosine_distance(x, -x) == pytest.approx(1.0, abs=1e-15)
-    assert bp.cosine_distance([1.0, 0.0], [3.0, 0.0]) == pytest.approx(-1.0, abs=1e-15)
-
-
-def test_cosine_distance_zero_norm_raises():
-    with pytest.raises(NumericError, match="x"):
-        bp.cosine_distance([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(NumericError, match="y"):
-        bp.cosine_distance([1.0, 0.0], [0.0, 0.0])
+def _cosine_distance(x, y) -> float:
+    """Negative cosine similarity of two vectors, by the textbook formula."""
+    return float(-np.dot(x, y) / (np.linalg.norm(x) * np.linalg.norm(y)))
 
 
 def test_select_top_negatives_examples():
@@ -197,7 +187,7 @@ def test_anchor_group_matches_manual_cosine_distances():
     cols = np.concatenate([pos, neg], axis=1)
     for anchor in range(batch.num_views):
         for d, j in zip(block[anchor], cols[anchor]):
-            assert d == pytest.approx(bp.cosine_distance(x[anchor], x[j]), abs=1e-12)
+            assert d == pytest.approx(_cosine_distance(x[anchor], x[j]), abs=1e-12)
 
 
 def test_stop_grad_zeroes_non_anchor_gradients():
@@ -280,7 +270,7 @@ def test_batch_loss_single_anchor_hand_computation():
     params = GroCoParams(beta=1.0, num_negatives=10)
     manual = []
     for anchor in range(4):
-        d = {j: bp.cosine_distance(proj[anchor], proj[j]) for j in range(4) if j != anchor}
+        d = {j: _cosine_distance(proj[anchor], proj[j]) for j in range(4) if j != anchor}
         pos = [d[j] for j in range(4) if image_id[j] == image_id[anchor] and j != anchor]
         neg = sorted(d[j] for j in range(4) if image_id[j] != image_id[anchor])
         manual.append(oracle_groco(sorted(pos), neg, 1.0))
@@ -320,6 +310,28 @@ def test_preorder_off_keeps_batch_order():
     # batch loss still computes through the unordered path
     val = bp.batch_loss(batch, "groco", GroCoParams(beta=1.0, num_negatives=9), preorder=False)
     assert np.isfinite(val) and val > 0
+
+
+def test_preorder_check_rejects_a_descending_group(monkeypatch):
+    plain = _make_batch(np.random.default_rng(53), images=6, views=3)
+    taped, _, _ = _make_batch(np.random.default_rng(53), images=6, views=3, as_tensor=True)
+    params = GroCoParams(beta=1.0, num_negatives=5)
+    assert np.isfinite(bp.batch_loss(plain, "groco", params))
+    # without the ascending reorder both groups arrive in column order
+    monkeypatch.setattr(bp, "_ascending", lambda raw, cols: cols)
+    block, _, _ = _groups(plain, 5)
+    assert np.any(np.diff(block[:, :2], axis=1) < 0) and np.any(np.diff(block[:, 2:], axis=1) < 0)
+    for batch in (plain, taped):
+        with pytest.raises(ValueError, match="non-descending"):
+            bp.batch_loss(batch, "groco", params)
+    assert np.isfinite(bp.batch_loss(plain, "groco", params, preorder=False))
+
+
+def test_preorder_check_reads_each_group_and_skips_the_border():
+    bp._check_preordered(np.array([[0.0, 1.0, -5.0, 2.0]]), 2)  # the border may step down
+    for row in ([1.0, 0.0, 2.0, 3.0], [0.0, 1.0, 3.0, 2.0]):
+        with pytest.raises(ValueError, match="non-descending"):
+            bp._check_preordered(np.array([[0.0, 0.0, 0.0, 0.0], row]), 2)
 
 
 def test_infonce_uses_all_negatives_unless_top_n():
@@ -372,8 +384,17 @@ def test_batch_loss_rejects_bad_kind_and_params():
         bp.batch_loss(batch, "nonsense", GroCoParams())
     with pytest.raises(ValueError):
         bp.batch_loss(batch, "groco", InfoNCEParams())
-    for kind, params in (("groco", GroCoParams()), ("infonce", InfoNCEParams()), ("triplet", TripletParams())):
-        for count in (0, -1):
+
+
+def test_batch_loss_checks_only_the_negative_count_it_uses():
+    rng = np.random.default_rng(55)
+    batch = _make_batch(rng, images=3, views=2)
+    for count in (0, -1):
+        # the group-ordering loss reads params.num_negatives, and InfoNCE
+        # without infonce_top_n takes every negative: the keyword is unused
+        for kind, params in (("groco", GroCoParams(num_negatives=4)), ("infonce", InfoNCEParams())):
+            assert bp.batch_loss(batch, kind, params, num_negatives=count) == bp.batch_loss(batch, kind, params)
+        for kind, params in (("infonce", InfoNCEParams()), ("triplet", TripletParams())):
             with pytest.raises(ValueError, match="num_negatives"):
                 bp.batch_loss(batch, kind, params, num_negatives=count, infonce_top_n=True)
 

@@ -214,20 +214,22 @@ def test_train_all_loss_kinds_complete():
         assert all(np.isfinite(v) for v in result.step_losses)
 
 
-def test_default_step_records_10_tape_nodes(monkeypatch):
+def test_default_step_records_7_tape_nodes(monkeypatch):
     # 4 affine layers for the two-layer encoder and head, 1 selected-distances
-    # op, 2 column gathers, 3 for the group-ordering loss (concat, border
-    # mass, clamped BCE)
+    # op, and the border mass and clamped BCE of the group-ordering loss,
+    # which takes the selected block whole: no gather and no join
     seen = []
     real = md.dg.backward
 
-    def counting(tape, loss):
-        seen.append(len(tape.nodes))
+    def recording(tape, loss):
+        seen.append([node.op_kind for node in tape.nodes])
         return real(tape, loss)
 
-    monkeypatch.setattr(md.dg, "backward", counting)
+    monkeypatch.setattr(md.dg, "backward", recording)
     md.train(dio.synth_generate(dio.SynthConfig(per_cluster=16)), TrainConfig(epochs=2))
-    assert seen == [10, 10]
+    step = ["affine"] * 4 + ["selected_distances", "border_mass", "bce_mean"]
+    assert seen == [step, step]
+    assert not {"index_select", "concat"} & set(seen[0])
 
 
 def _chain_forward(params, tape, views):

@@ -407,7 +407,7 @@ def test_diff_sort_hard_limit_convergence_monotone():
 def test_hard_sort_examples():
     ordered, perm = sc.hard_sort([6, 1, 4, 2])
     assert ordered.tolist() == [1.0, 2.0, 4.0, 6.0]
-    assert perm.apply([6, 1, 4, 2]).tolist() == [1.0, 2.0, 4.0, 6.0]
+    assert (sc.permutation_matrix(perm) @ [6, 1, 4, 2]).tolist() == [1.0, 2.0, 4.0, 6.0]
     ordered, perm = sc.hard_sort([5.0])
     assert ordered.tolist() == [5.0] and perm.mapping.tolist() == [0]
 
@@ -417,6 +417,11 @@ def test_hard_sort_stability_on_ties():
     assert ordered.tolist() == [0.0, 1.0, 1.0]
     # equal keys keep original index order: input index 0 before input index 1
     assert perm.mapping.tolist() == [1, 2, 0]
+    # -0.0 and 0.0 are equal keys too: neither moves past the other
+    for vals in ([0.0, -0.0, -1.0], [-0.0, 0.0, -1.0]):
+        ordered, perm = sc.hard_sort(vals)
+        assert np.signbit(ordered).tolist() == [True] + np.signbit(vals[:2]).tolist()
+        assert perm.mapping.tolist() == [1, 2, 0]
 
 
 def test_hard_sort_random_against_numpy():
@@ -425,7 +430,7 @@ def test_hard_sort_random_against_numpy():
         vals = rng.integers(0, 5, size=int(rng.integers(1, 12))).astype(float)
         ordered, perm = sc.hard_sort(vals)
         assert ordered.tolist() == np.sort(vals, kind="stable").tolist()
-        assert perm.apply(vals).tolist() == ordered.tolist()
+        assert (sc.permutation_matrix(perm) @ vals).tolist() == ordered.tolist()
         # stability: among equal values the original order survives
         srt = sorted(range(vals.size), key=lambda i: (vals[i], i))
         expect_mapping = np.empty(vals.size, dtype=int)
