@@ -204,6 +204,9 @@ def _selected_distances(
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
         raise NumericError(f"zero-norm projection for view {int(bad[0])}")
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise NumericError(f"non-finite projection norm for view {int(bad[0])}")
     unit = raw / norms
     distances = unit @ np.ascontiguousarray(unit.T)
     np.negative(distances, out=distances)

@@ -56,6 +56,8 @@ def _knn_predictions(train_embeds, train_labels, queries, ks, weight_tau: float)
     `knn_predict` for the rules. One similarity matmul and one stable top-k
     at the largest k serve every k: a stable order's first k entries are the
     order at k, so each smaller k reads a prefix of the same votes."""
+    if not (math.isfinite(weight_tau) and weight_tau > 0):
+        raise ValueError(f"weight_tau must be finite and > 0, got {weight_tau}")
     train_labels = np.asarray(train_labels)
     train = _unit_rows(train_embeds, "train_embeds")
     if train_labels.shape != (train.shape[0],):
@@ -88,8 +90,8 @@ def knn_predict(train_embeds, train_labels, query, k: int, weight_tau: float = K
     """Weighted k-nearest-neighbor vote under cosine distance.
 
     Each of the k nearest training points votes exp(similarity / weight_tau)
-    for its class; neighbor ties break toward the lower index and class-score
-    ties toward the smaller class id.
+    for its class, for a finite `weight_tau` > 0; neighbor ties break toward
+    the lower index and class-score ties toward the smaller class id.
     """
     return int(_knn_predictions(train_embeds, train_labels, query, (k,), weight_tau)[k][0])
 
@@ -212,7 +214,8 @@ def toy_dynamics(loss_kind: str, init_similarities, steps: int, lr: float, param
     The first variable is the positive similarity, the rest are negatives;
     losses see distances d = -s. For the group-ordering loss, negatives are
     re-ordered ascending by distance at every step (a hard reindex, exactly as
-    in the batch pipeline).
+    in the batch pipeline). `lr` must be finite and >= 0; at 0 every row
+    is the initialization.
     """
     if loss_kind not in ("groco", "infonce"):
         raise ValueError(f"unknown loss_kind {loss_kind!r}, expected 'groco' or 'infonce'")
@@ -221,6 +224,8 @@ def toy_dynamics(loss_kind: str, init_similarities, steps: int, lr: float, param
         raise ValueError("need one positive and at least one negative similarity")
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
     neg_count = sims.size - 1
     history = [sims.copy()]
     for _ in range(steps):

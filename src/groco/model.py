@@ -2,8 +2,11 @@
 
 The encoder is a small ReLU MLP; its last affine output is the
 representation used for evaluation. The projection head is a second ReLU MLP
-whose output is the space where training distances live. Training keeps all
-math in float64; checkpoints store float32 on disk.
+whose output is the space where training distances live. The encoder's last
+layer has no ReLU, so it and the head's first layer are one affine map: the
+projection is computed through that map, and training, which needs only the
+projection, never forms the representation. Training keeps all math in
+float64; checkpoints store float32 on disk.
 """
 
 from __future__ import annotations
@@ -101,16 +104,21 @@ def init_params(
 
 
 def _forward_core(encoder, projection, x):
-    """Shared forward over plain arrays or tape tensors, one `affine` op per
-    layer with ReLU on all but each stack's last. A plain `x` gets no
+    """Shared forward of training and `forward`, over plain arrays or tape
+    tensors; returns (h, projection) for the output h of the encoder's
+    hidden layers. Each hidden layer is one `affine` op with ReLU. The
+    encoder's last layer and the head's first are one `affine_pair` op, and
+    the head's other layers `affine` ops, with ReLU on all but the last. The
+    representation, `affine(h, *encoder[-1], relu=False)`, is left to the
+    caller that needs it, so training never forms it. A plain `x` gets no
     gradient."""
     h = x
-    for i, (w, b) in enumerate(encoder):
-        h = dg.affine(h, w, b, relu=i < len(encoder) - 1)
-    representation = h
-    for i, (w, b) in enumerate(projection):
-        h = dg.affine(h, w, b, relu=i < len(projection) - 1)
-    return representation, h
+    for w, b in encoder[:-1]:
+        h = dg.affine(h, w, b, relu=True)
+    out = dg.affine_pair(h, *encoder[-1], *projection[0], relu=len(projection) > 1)
+    for i, (w, b) in enumerate(projection[1:], start=1):
+        out = dg.affine(out, w, b, relu=i < len(projection) - 1)
+    return h, out
 
 
 def forward(params: ModelParams, x):
@@ -123,7 +131,8 @@ def forward(params: ModelParams, x):
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != params.input_dim:
         raise ValueError(f"expected input dim {params.input_dim}, got shape {np.shape(x)}")
-    rep, proj = _forward_core(params.encoder, params.projection, arr)
+    h, proj = _forward_core(params.encoder, params.projection, arr)
+    rep = dg.affine(h, *params.encoder[-1], relu=False)
     if single:
         return rep[0], proj[0]
     return rep, proj
@@ -304,8 +313,8 @@ class TrainConfig:
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
         if self.num_negatives < 1:
             raise ValueError(f"num_negatives must be >= 1, got {self.num_negatives}")
-        if self.lr <= 0 or not (0 <= self.momentum < 1):
-            raise ValueError("need lr > 0 and 0 <= momentum < 1")
+        if not (math.isfinite(self.lr) and self.lr > 0) or not (0 <= self.momentum < 1):
+            raise ValueError(f"need a finite lr > 0 and 0 <= momentum < 1, got lr {self.lr}, momentum {self.momentum}")
         if self.warmup_epochs < 0 or self.warmup_epochs >= self.epochs:
             raise ValueError("need 0 <= warmup_epochs < epochs")
         dataio.check_view_noise(self.view_noise)

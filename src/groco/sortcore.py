@@ -282,21 +282,24 @@ def _value_chain(rows: np.ndarray, beta: float):
         top, bottom = blocks[step % 2]
         if top.start == top.stop:
             continue
-        stay = np.arctan(-beta * (v[top] - v[bottom])) * _INV_PI + 0.5
-        steps.append((top, bottom, stay, _swap_step(v, top, bottom, stay)))
+        gap = v[top] - v[bottom]
+        stay = np.arctan(-beta * gap) * _INV_PI + 0.5
+        steps.append((top, bottom, stay, _swap_step(v, top, bottom, stay, gap)))
     return steps
 
 
-def _swap_step(x: np.ndarray, top: slice, bottom: slice, stay: np.ndarray) -> np.ndarray:
+def _swap_step(x: np.ndarray, top: slice, bottom: slice, stay: np.ndarray, gap=None) -> np.ndarray:
     """Apply one step's symmetric swap block to the parity-major place rows
     of `x` (n, A) in place, each row of the `top` block paired with the same
     row of the `bottom` block: x_i, x_j <- stay * x_i + (1 - stay) * x_j and
-    its mirror image. Returns x_i - x_j from before the step."""
+    its mirror image. Returns `gap`, x_i - x_j from before the step, which
+    is computed here unless the caller has it."""
     x_i, x_j = x[top], x[bottom]
-    gap = x_i - x_j
+    if gap is None:
+        gap = x_i - x_j
     shift = stay * gap
     new_top = x_j + shift
-    x[bottom] = x_i - shift
+    np.subtract(x_i, shift, out=x_j)
     x[top] = new_top
     return gap
 

@@ -407,6 +407,21 @@ def test_zero_norm_projection_reports_view():
         bp.batch_loss(batch, "groco", GroCoParams(num_negatives=2))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_projection_norm_reports_view(bad):
+    # a diverged step used to fail later, as a ValueError about the distances
+    proj = np.ones((4, 3))
+    proj[1, 2] = bad
+    batch = bp.ViewBatch(proj, np.array([0, 0, 1, 1]), 2)
+    tape = Tape()
+    taped = bp.ViewBatch(tape.variable(proj), batch.image_id, 2)
+    for kind, params in (("groco", GroCoParams(num_negatives=2)), ("infonce", InfoNCEParams()),
+                         ("triplet", TripletParams())):
+        for b in (batch, taped):
+            with pytest.raises(NumericError, match="non-finite projection norm for view 1"):
+                bp.batch_loss(b, kind, params, num_negatives=2)
+
+
 def _reference_columns(d, image_id, num_negatives, preorder):
     """Every anchor's positive and negative columns from explicit loops:
     negatives are the smallest distances, lower column first on ties;

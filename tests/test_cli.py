@@ -181,6 +181,23 @@ def test_eval_non_integer_k_is_usage_error(tmp_path):
         assert "knn" not in proc.stdout
 
 
+@pytest.mark.parametrize("weight_tau", ["0", "-0.07", "nan", "inf"])
+def test_eval_non_positive_or_non_finite_weight_tau_is_usage_error(weight_tau, tmp_path, capsys):
+    # each used to print an accuracy and exit 0
+    import groco.model as md
+
+    ds = dio.synth_generate(dio.SynthConfig(clusters=3, dim=8, per_cluster=16, seed=2))
+    dio.gvec_write(ds, tmp_path / "data.gvec")
+    params = md.init_params(8, (8, 8), (4, 4), seed=0)
+    md.checkpoint_save(params, md.init_optimizer(params), tmp_path / "rand.ckpt")
+    rc = gcli.main(["eval", "--ckpt", str(tmp_path / "rand.ckpt"), "--data", str(tmp_path / "data.gvec"),
+                    "--k", "20", "--weight-tau", weight_tau, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "weight_tau must be finite and > 0" in captured.err
+    assert "knn" not in captured.out
+
+
 def test_eval_random_init_checkpoint(tmp_path):
     import groco.model as md
 
@@ -237,6 +254,16 @@ def test_toy_zero_lr_constant_columns(tmp_path):
     assert run_cli("toy", "--lr", "0", "--steps", "10", "--out", str(out), cwd=tmp_path).returncode == 0
     rows = [line.split(",")[1:] for line in out.read_text().strip().splitlines()[1:]]
     assert all(row == rows[0] for row in rows)
+
+
+@pytest.mark.parametrize("lr", ["-1", "nan", "inf"])
+def test_toy_negative_or_non_finite_lr_is_usage_error(lr, tmp_path, capsys):
+    # --lr -1 used to run gradient ascent and exit 0
+    out = tmp_path / "toy.csv"
+    rc = gcli.main(["toy", f"--lr={lr}", "--steps", "3", "--out", str(out)])
+    assert rc == 2
+    assert "lr must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_toy_default_grid_displacement_ordering(tmp_path):
@@ -308,6 +335,25 @@ def test_gradcheck_h_sweep_error_curve():
 def test_unknown_subcommand_exits_2():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("loss", ["groco", "infonce", "triplet"])
+def test_diverging_run_exits_3_naming_the_view(loss, tmp_path):
+    # used to exit 2 with a usage line and a message about the distances
+    args = _small_train_args(tmp_path, extra=["--loss", loss, "--lr", "1e300"])
+    proc = run_cli(*args, cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "numeric failure: non-finite projection norm for view" in proc.stderr
+    assert "usage" not in proc.stderr
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-1", "0"])
+def test_train_non_finite_or_non_positive_lr_is_usage_error(lr, tmp_path, capsys):
+    rc = gcli.main(_small_train_args(tmp_path, extra=[f"--lr={lr}"]))
+    assert rc == 2
+    assert "need a finite lr > 0" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_nan_loss_exits_3_with_step(tmp_path, monkeypatch, capsys):

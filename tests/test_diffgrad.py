@@ -49,6 +49,7 @@ def test_record_supports_every_op_kind():
         "div": lambda: dg.div(v, v),
         "matmul": lambda: dg.matmul(m, v),
         "affine": lambda: dg.affine(m, m, v, relu=True),
+        "affine_pair": lambda: dg.affine_pair(m, m, v, m, v, relu=True),
         "log": lambda: dg.log(v),
         "exp": lambda: dg.exp(v),
         "sum": lambda: dg.sum(v),
@@ -65,6 +66,8 @@ def test_record_supports_every_op_kind():
     }
     assert set(calls) == set(dg.VJP_RULES)
     calls["affine without relu"] = lambda: dg.affine(m, m, v, relu=False)
+    calls["affine_pair without relu"] = lambda: dg.affine_pair(m, m, v, m, v, relu=False)
+    calls["affine_pair on a plain x"] = lambda: dg.affine_pair(m.data, m, v, m, v, relu=True)
     for kind, call in calls.items():
         out = call()
         assert isinstance(out, Tensor)
@@ -157,6 +160,17 @@ def _single_op_cases():
     b2 = np.array([0.4, -0.3])
     # pre-activations of m23 @ m32 + b2 at least 0.05 from the ReLU's kink
     assert np.min(np.abs(m23 @ m32 + b2)) > 0.05 and np.any(m23 @ m32 + b2 < 0)
+    # a pair of layers 3 -> 4 -> 2 with nonzero biases, so that no gradient
+    # has the shape of another, and the same margin from the kink
+    w34 = rng.uniform(-1.5, 1.5, (3, 4))
+    b4 = np.array([0.5, -0.4, 0.3, 0.2])
+    w42 = rng.uniform(-1.5, 1.5, (4, 2))
+    pair_pre = (m23 @ w34 + b4) @ w42 + b2
+    assert np.min(np.abs(pair_pre)) > 0.05 and np.any(pair_pre < 0) and np.any(pair_pre > 0)
+
+    def pair(x=m23, w1=w34, b1=b4, w2=w42, b2=b2, relu=True):
+        return dg.sum(dg.mul(dg.affine_pair(x, w1, b1, w2, b2, relu), m23[:, :2]))
+
     return [
         ("add", lambda t, x: dg.sum(dg.add(x, t.constant([0.3, -0.2, 0.4]))), v3),
         ("sub", lambda t, x: dg.sum(dg.sub(1.5, x)), v3),
@@ -168,6 +182,14 @@ def _single_op_cases():
         ("affine_x_relu", lambda t, x: dg.sum(dg.mul(dg.affine(x, m32, b2, relu=True), m23[:, :2])), m23.copy()),
         ("affine_w_relu", lambda t, x: dg.sum(dg.mul(dg.affine(m23, x, b2, relu=True), m23[:, :2])), m32.copy()),
         ("affine_b_relu", lambda t, x: dg.sum(dg.mul(dg.affine(m23, m32, x, relu=True), m23[:, :2])), b2.copy()),
+        ("affine_pair_x", lambda t, x: pair(x=x, relu=False), m23.copy()),
+        ("affine_pair_x_relu", lambda t, x: pair(x=x), m23.copy()),
+        ("affine_pair_w1", lambda t, x: pair(w1=x, relu=False), w34.copy()),
+        ("affine_pair_w1_relu", lambda t, x: pair(w1=x), w34.copy()),
+        ("affine_pair_b1_relu", lambda t, x: pair(b1=x), b4.copy()),
+        ("affine_pair_w2", lambda t, x: pair(w2=x, relu=False), w42.copy()),
+        ("affine_pair_w2_relu", lambda t, x: pair(w2=x), w42.copy()),
+        ("affine_pair_b2_relu", lambda t, x: pair(b2=x), b2.copy()),
         ("log", lambda t, x: dg.sum(dg.log(x)), v3),
         ("exp", lambda t, x: dg.sum(dg.exp(x)), v3),
         ("l2norm", lambda t, x: dg.sum(dg.l2norm(x, axis=1, keepdims=True)), m23.copy()),
@@ -240,6 +262,26 @@ def test_affine_records_one_node_and_no_gradient_for_a_plain_input():
         dg.affine(x, w, tape.variable(np.ones(3)), relu=False)
     with pytest.raises(ValueError):
         dg.affine(x[0], w, b, relu=False)
+
+
+def test_affine_pair_records_one_node_and_no_gradient_for_a_plain_input():
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((5, 3))
+    arrays = (rng.standard_normal((3, 4)), rng.standard_normal(4), rng.standard_normal((4, 2)), rng.standard_normal(2))
+    tape = Tape()
+    params = tuple(tape.variable(a) for a in arrays)
+    out = dg.affine_pair(x, *params, relu=True)
+    node = tape.nodes[-1]
+    assert len(tape.nodes) == 1 and node.inputs == params
+    assert np.array_equal(node.attrs["w"], arrays[0] @ arrays[2])
+    assert np.array_equal(out.data, dg.affine_pair(x, *arrays, relu=True))
+    grads = dg.VJP_RULES["affine_pair"](node, np.ones(out.shape))
+    assert [g.shape for g in grads] == [a.shape for a in arrays]
+    w1, b1, w2, b2 = arrays
+    for bad in ((x, w1, b1[:3], w2, b2), (x, w1, b1, w2[:3], b2), (x, w1, b1, w2, b2[:1]), (x[0], w1, b1, w2, b2),
+                (x[:, :2], w1, b1, w2, b2), (x, w1, b1, w2[None], b2)):
+        with pytest.raises(ValueError, match="affine_pair expects"):
+            dg.affine_pair(*bad, relu=False)
 
 
 def test_numpy_mode_matches_tape_mode():

@@ -89,6 +89,19 @@ def test_knn_rejects_query_width_mismatch():
         ev.knn_accuracy(train, labels, np.ones((4, 2)), np.zeros(4), 1)
 
 
+@pytest.mark.parametrize("weight_tau", [0.0, -0.07, float("nan"), float("inf")])
+def test_knn_rejects_non_positive_or_non_finite_weight_tau(weight_tau):
+    # each used to score: 0 and nan like argmax over nan votes, -0.07 by
+    # inverted votes, inf by unweighted ones
+    train, labels = np.eye(3), np.arange(3)
+    with pytest.raises(ValueError, match="weight_tau must be finite and > 0"):
+        ev.knn_predict(train, labels, [1.0, 0.0, 0.0], 1, weight_tau)
+    with pytest.raises(ValueError, match="weight_tau must be finite and > 0"):
+        ev.knn_accuracies(train, labels, train, labels, [1, 2], weight_tau)
+    with pytest.raises(ValueError, match="weight_tau must be finite and > 0"):
+        ev.knn_accuracy(train, labels, train, labels, 1, weight_tau)
+
+
 def test_knn_accuracy_self_train_is_perfect():
     rng = np.random.default_rng(71)
     x, y = _clusters(rng, [np.array([3.0, 0.0]), np.array([0.0, 3.0])], 20)
@@ -267,6 +280,14 @@ def test_toy_dynamics_equal_lengths_across_losses():
 def test_toy_dynamics_rejects_unknown_loss():
     with pytest.raises(ValueError):
         ev.toy_dynamics("triplet", TOY_INIT, 10, 0.05, None)
+
+
+@pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+def test_toy_dynamics_rejects_negative_or_non_finite_lr(lr):
+    # a negative lr used to run gradient ascent
+    for kind, params in (("groco", GroCoParams(beta=2.0, num_negatives=4)), ("infonce", InfoNCEParams(tau=0.5))):
+        with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+            ev.toy_dynamics(kind, TOY_INIT, 3, lr, params)
 
 
 def test_trajectory_csv_format(tmp_path):

@@ -214,10 +214,11 @@ def test_train_all_loss_kinds_complete():
         assert all(np.isfinite(v) for v in result.step_losses)
 
 
-def test_default_step_records_7_tape_nodes(monkeypatch):
-    # 4 affine layers for the two-layer encoder and head, 1 selected-distances
-    # op, and the border mass and clamped BCE of the group-ordering loss,
-    # which takes the selected block whole: no gather and no join
+def test_default_step_records_6_tape_nodes(monkeypatch):
+    # the encoder's hidden layer, its last layer and the head's first layer
+    # as one affine map, the head's last layer, 1 selected-distances op, and
+    # the border mass and clamped BCE of the group-ordering loss, which takes
+    # the selected block whole: no gather and no join
     seen = []
     real = md.dg.backward
 
@@ -227,49 +228,57 @@ def test_default_step_records_7_tape_nodes(monkeypatch):
 
     monkeypatch.setattr(md.dg, "backward", recording)
     md.train(dio.synth_generate(dio.SynthConfig(per_cluster=16)), TrainConfig(epochs=2))
-    step = ["affine"] * 4 + ["selected_distances", "border_mass", "bce_mean"]
+    step = ["affine", "affine_pair", "affine", "selected_distances", "border_mass", "bce_mean"]
     assert seen == [step, step]
     assert not {"index_select", "concat"} & set(seen[0])
 
 
 def _chain_forward(params, tape, views):
-    """The encoder and head as matmul, add and clamp ops, one node each."""
+    """The encoder and head as matmul, add and clamp ops, one node each;
+    returns the parameter tensors, the representation and the projection."""
     tensors = [(tape.variable(w), tape.variable(b)) for w, b in params.encoder + params.projection]
     h = tape.constant(views)
     for i, (w, b) in enumerate(tensors):
         h = dg.matmul(h, w) + b
         if i not in (len(params.encoder) - 1, len(tensors) - 1):
             h = dg.clamp(h, lo=0.0)
-    return tensors, h
+        if i == len(params.encoder) - 1:
+            representation = h
+    return tensors, representation, h
 
 
-def test_default_step_is_bitwise_the_matmul_add_clamp_chain():
+def test_default_step_matches_the_matmul_add_clamp_chain():
     # the projections, the loss and all 8 parameter gradients of a default
-    # GroCo step, with one affine op per layer and with the 10-op chain
+    # GroCo step, with nonzero biases, through `_forward_core` (which maps
+    # the representation layer and the head's first layer as one) and
+    # through the 10-op chain (which forms the representation first): equal
+    # up to rounding. The representation `forward` returns is bitwise the
+    # chain's, and its projection bitwise the taped one.
     rng = np.random.default_rng(21)
     params = md.init_params(32, seed=4)
+    for _, b in params.encoder + params.projection:
+        b[:] = 0.1 * rng.standard_normal(b.shape)
     views = rng.standard_normal((256, 32))
     image_id = np.repeat(np.arange(128), 2)
     loss_params = TrainConfig().loss_params()
     results = []
-    for build in ("affine", "chain"):
+    for build in ("core", "chain"):
         tape = dg.Tape()
-        if build == "affine":
+        if build == "core":
             tensors = [(tape.variable(w), tape.variable(b)) for w, b in params.encoder + params.projection]
             _, proj = md._forward_core(tensors[:2], tensors[2:], views)
         else:
-            tensors, proj = _chain_forward(params, tape, views)
+            tensors, chain_rep, proj = _chain_forward(params, tape, views)
         loss = bp.batch_loss(bp.ViewBatch(proj, image_id, 2), "groco", loss_params)
         gmap = dg.backward(tape, loss)
-        results.append((proj.data, float(loss.data), [gmap.grad(t) for pair in tensors for t in pair]))
-    (proj, loss, grads), (chain_proj, chain_loss, chain_grads) = results
-    assert np.array_equal(proj, chain_proj)
-    assert loss == chain_loss
-    assert len(grads) == 8
-    for g, chain_g in zip(grads, chain_grads):
-        assert np.array_equal(g, chain_g)
+        results.append((proj.data, np.array(float(loss.data)), *[gmap.grad(t) for pair in tensors for t in pair]))
+    assert len(results[0]) == 10
+    for got, chain in zip(*results):
+        assert got.shape == chain.shape
+        assert np.max(np.abs(got - chain)) <= 1e-13 * np.max(np.abs(chain))
     rep, plain_proj = md.forward(params, views)
-    assert np.array_equal(plain_proj, proj)
+    assert np.array_equal(rep, chain_rep.data)
+    assert np.array_equal(plain_proj, results[0][0])
 
 
 def test_train_ablation_flags_complete():
@@ -341,6 +350,13 @@ def test_train_config_validation():
     for kind in ("groco", "infonce", "triplet"):
         with pytest.raises(ValueError, match="num_negatives"):
             TrainConfig(loss_kind=kind, num_negatives=0)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0])
+def test_train_config_rejects_non_finite_or_non_positive_lr(lr):
+    # nan and inf used to pass and fail one step later
+    with pytest.raises(ValueError, match="need a finite lr > 0"):
+        TrainConfig(lr=lr)
 
 
 def test_train_rejects_small_dataset():
