@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 KNN_WEIGHT_TAU = 0.07  # similarity-weighting temperature for k-NN votes
+_KNN_BLOCK_ENTRIES = 2**16  # similarities per k-NN query block: 512 KiB of float64
 
 
 @dataclass
@@ -53,9 +54,13 @@ def _unit_rows(x, what: str) -> np.ndarray:
 
 def _knn_predictions(train_embeds, train_labels, queries, ks, weight_tau: float) -> dict[int, np.ndarray]:
     """Predicted class of each query row for every k in `ks`; see
-    `knn_predict` for the rules. One similarity matmul and one stable top-k
-    at the largest k serve every k: a stable order's first k entries are the
-    order at k, so each smaller k reads a prefix of the same votes."""
+    `knn_predict` for the rules. The queries are searched in row blocks of
+    about `_KNN_BLOCK_ENTRIES` similarities: each block gets one similarity
+    matmul, negated in place, and one stable top-k at the largest k, whose
+    indices and distances go to (Q, max k) arrays. Nothing of size Q x N
+    outlives a block. The votes then run on those arrays for every k: a
+    stable order's first k entries are the order at k, so each smaller k
+    reads a prefix of the same votes."""
     if not (math.isfinite(weight_tau) and weight_tau > 0):
         raise ValueError(f"weight_tau must be finite and > 0, got {weight_tau}")
     train_labels = np.asarray(train_labels)
@@ -68,18 +73,29 @@ def _knn_predictions(train_embeds, train_labels, queries, ks, weight_tau: float)
         if not (1 <= k <= train.shape[0]):
             raise ValueError(f"k must be in 1..{train.shape[0]}, got {k}")
     queries = _unit_rows(queries, "query")
+    if queries.shape[0] < 1:
+        raise ValueError("empty test set: no query embeddings")
     if queries.shape[1] != train.shape[1]:
         raise ValueError(f"query width {queries.shape[1]} differs from train width {train.shape[1]}")
-    distances = queries @ train.T
-    np.negative(distances, out=distances)  # in place: no second (Q, N) array
-    nearest = batchpipe.select_top_negatives(distances, max(ks))
+    count, kmax = queries.shape[0], max(ks)
+    block = max(1, _KNN_BLOCK_ENTRIES // train.shape[0])
+    buffer = np.empty((min(block, count), train.shape[0]))
+    nearest = np.empty((count, kmax), dtype=np.intp)
+    near_distances = np.empty((count, kmax))
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        distances = buffer[: stop - start]
+        np.matmul(queries[start:stop], train.T, out=distances)
+        np.negative(distances, out=distances)
+        nearest[start:stop] = batchpipe.select_top_negatives(distances, kmax)
+        near_distances[start:stop] = np.take_along_axis(distances, nearest[start:stop], axis=1)
     classes, label_index = np.unique(train_labels, return_inverse=True)
     votes = label_index[nearest]
-    weights = np.exp(-np.take_along_axis(distances, nearest, axis=1) / weight_tau)
-    scores = np.zeros((distances.shape[0], classes.size))
-    rows = np.arange(distances.shape[0])
+    weights = np.exp(-near_distances / weight_tau)
+    scores = np.zeros((count, classes.size))
+    rows = np.arange(count)
     predictions = {}
-    for j in range(nearest.shape[1]):  # add the votes in neighbour order
+    for j in range(kmax):  # add the votes in neighbour order
         scores[rows, votes[:, j]] += weights[:, j]
         if j + 1 in ks:
             predictions[j + 1] = classes[np.argmax(scores, axis=1)]
@@ -106,7 +122,10 @@ def knn_accuracies(
 ) -> dict[int, float]:
     """Fraction of test points whose weighted k-NN vote matches their label,
     for every k in `ks`, from one neighbour search at the largest k. Each
-    value equals `knn_accuracy` at that k."""
+    value equals `knn_accuracy` at that k. The search walks the test set in
+    row blocks, so memory grows as block rows x train points plus test
+    points x largest k, never as test points x train points. An empty test
+    set is a `ValueError`."""
     ks = [int(k) for k in ks]
     if not ks:
         raise ValueError("ks must name at least one k")
@@ -154,6 +173,8 @@ def linear_probe(
         raise ValueError("train embeddings/labels mismatch")
     if xt.ndim != 2 or yt.shape != (xt.shape[0],):
         raise ValueError("test embeddings/labels mismatch")
+    if xt.shape[0] < 1:
+        raise ValueError("empty test set: no test embeddings")
     if xt.shape[1] != x.shape[1]:
         raise ValueError(f"test embedding width {xt.shape[1]} differs from train width {x.shape[1]}")
     if steps < 0:

@@ -347,7 +347,9 @@ def train(dataset: Dataset, config: TrainConfig, metrics_path=None) -> TrainResu
     Each step: draw a batch of images, make `views` noisy views per image,
     run them through the model on a fresh tape, average the per-anchor loss,
     backprop, and apply one scheduled SGD step. Raises `TrainingDiverged`
-    (with the step number) on a non-finite loss.
+    (with the step number) on a non-finite loss and `NumericError` (naming
+    the view) on a non-finite projection; numpy's overflow and invalid-value
+    warnings are silenced inside a step, so these are what a run sees.
     """
     count = dataset.vectors.shape[0]
     if count < config.batch_size:
@@ -385,35 +387,38 @@ def train(dataset: Dataset, config: TrainConfig, metrics_path=None) -> TrainResu
             image_id = np.repeat(np.arange(bsz), m)
 
             lr = cosine_warmup_lr(step, total_steps, warmup_steps, config.lr)
-            tape = dg.Tape()
-            enc_t = [(tape.variable(w), tape.variable(b)) for w, b in params.encoder]
-            proj_t = [(tape.variable(w), tape.variable(b)) for w, b in params.projection]
-            _, projections = _forward_core(enc_t, proj_t, views)
-            batch = batchpipe.ViewBatch(projections, image_id, m)
-            loss = batchpipe.batch_loss(
-                batch,
-                config.loss_kind,
-                loss_params,
-                num_negatives=config.num_negatives,
-                stop_grad=config.stop_grad,
-                preorder=config.preorder,
-                random_negatives=config.random_negatives,
-                infonce_top_n=config.infonce_top_n,
-                rng=rng_negative,
-            )
-            loss_value = float(loss.data)
-            if not math.isfinite(loss_value):
-                raise TrainingDiverged(step, loss_value)
-            gmap = dg.backward(tape, loss)
-            tensor_by_name = {}
-            for i, (tw, tb) in enumerate(enc_t):
-                tensor_by_name[f"enc.{i}.weight"] = tw
-                tensor_by_name[f"enc.{i}.bias"] = tb
-            for i, (tw, tb) in enumerate(proj_t):
-                tensor_by_name[f"proj.{i}.weight"] = tw
-                tensor_by_name[f"proj.{i}.bias"] = tb
-            grads = {name: gmap.grad(tensor_by_name[name]) for name, _ in params.named_arrays()}
-            sgd_step(params, grads, state, lr=lr)
+            # overflow and invalid values run on silently; the step's own checks
+            # then name the failure (NumericError or TrainingDiverged)
+            with np.errstate(over="ignore", invalid="ignore"):
+                tape = dg.Tape()
+                enc_t = [(tape.variable(w), tape.variable(b)) for w, b in params.encoder]
+                proj_t = [(tape.variable(w), tape.variable(b)) for w, b in params.projection]
+                _, projections = _forward_core(enc_t, proj_t, views)
+                batch = batchpipe.ViewBatch(projections, image_id, m)
+                loss = batchpipe.batch_loss(
+                    batch,
+                    config.loss_kind,
+                    loss_params,
+                    num_negatives=config.num_negatives,
+                    stop_grad=config.stop_grad,
+                    preorder=config.preorder,
+                    random_negatives=config.random_negatives,
+                    infonce_top_n=config.infonce_top_n,
+                    rng=rng_negative,
+                )
+                loss_value = float(loss.data)
+                if not math.isfinite(loss_value):
+                    raise TrainingDiverged(step, loss_value)
+                gmap = dg.backward(tape, loss)
+                tensor_by_name = {}
+                for i, (tw, tb) in enumerate(enc_t):
+                    tensor_by_name[f"enc.{i}.weight"] = tw
+                    tensor_by_name[f"enc.{i}.bias"] = tb
+                for i, (tw, tb) in enumerate(proj_t):
+                    tensor_by_name[f"proj.{i}.weight"] = tw
+                    tensor_by_name[f"proj.{i}.bias"] = tb
+                grads = {name: gmap.grad(tensor_by_name[name]) for name, _ in params.named_arrays()}
+                sgd_step(params, grads, state, lr=lr)
             step_losses.append(loss_value)
             if metrics_path is not None:
                 dataio.metrics_append(

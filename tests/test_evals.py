@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,104 @@ def test_knn_rejects_non_positive_or_non_finite_weight_tau(weight_tau):
         ev.knn_accuracies(train, labels, train, labels, [1, 2], weight_tau)
     with pytest.raises(ValueError, match="weight_tau must be finite and > 0"):
         ev.knn_accuracy(train, labels, train, labels, 1, weight_tau)
+
+
+def _dense_knn_reference(train, labels, queries, k, weight_tau):
+    """The weighted vote from one full (Q, N) similarity matrix and a stable
+    argsort of each row."""
+    train = train / np.linalg.norm(train, axis=1, keepdims=True)
+    queries = queries / np.linalg.norm(queries, axis=1, keepdims=True)
+    sims = queries @ train.T
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    classes, label_index = np.unique(labels, return_inverse=True)
+    scores = np.zeros((queries.shape[0], classes.size))
+    rows = np.arange(queries.shape[0])
+    for j in range(k):
+        scores[rows, label_index[order[:, j]]] += np.exp(sims[rows, order[:, j]] / weight_tau)
+    return classes[np.argmax(scores, axis=1)]
+
+
+def _tied_triples(seed, distinct):
+    """Train rows that each appear three times, with labels that disagree
+    between copies, so k = 1 and k = 10 cut through a tied triple."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(distinct, 8))
+    return np.concatenate([base, base, base]), rng.integers(0, 5, 3 * distinct)
+
+
+def test_blocked_knn_matches_a_dense_reference_at_block_borders():
+    train, labels = _tied_triples(79, 233)
+    n = train.shape[0]
+    block = ev._KNN_BLOCK_ENTRIES // n
+    assert block > 1  # so that block - 1 rows is a case, and 3 * block + 5 spans four blocks
+    rng = np.random.default_rng(80)
+    for count in (1, block - 1, block, block + 1, 3 * block + 5):
+        queries = rng.normal(size=(count, 8))
+        # exact copies of train rows, whose nearest triple ties at places
+        # 1 to 3, on both sides of each block border
+        for border in range(block, count + 1, block):
+            queries[border - 1] = train[border % 233]
+            if border < count:
+                queries[border] = train[(border + 7) % 233]
+        queries[0] = train[5]
+        ks = (1, 10, n)
+        predicted = ev._knn_predictions(train, labels, queries, ks, ev.KNN_WEIGHT_TAU)
+        truth = rng.integers(0, 5, count)
+        accuracies = ev.knn_accuracies(train, labels, queries, truth, ks)
+        for k in ks:
+            expect = _dense_knn_reference(train, labels, queries, k, ev.KNN_WEIGHT_TAU)
+            assert np.array_equal(predicted[k], expect), (count, k)
+            assert accuracies[k] == float(np.mean(expect == truth))
+        if count == 1:
+            assert ev.knn_predict(train, labels, queries[0], 1) == predicted[1][0]
+
+
+def test_blocked_knn_tie_at_k_breaks_toward_the_lower_index():
+    train, labels = _tied_triples(81, 233)
+    labels[:233], labels[233:466], labels[466:] = 0, 1, 2
+    block = ev._KNN_BLOCK_ENTRIES // train.shape[0]
+    queries = train[[3, 4, 5, 6]].repeat(block // 2, axis=0)  # across a block border
+    predicted = ev._knn_predictions(train, labels, queries, (1, 2), ev.KNN_WEIGHT_TAU)
+    # the first copy wins place 1 alone and then its class ties with the
+    # second copy's, and a class-score tie goes to the smaller class id
+    assert np.all(predicted[1] == 0) and np.all(predicted[2] == 0)
+    labels[:233] = 4
+    predicted = ev._knn_predictions(train, labels, queries, (1, 2), ev.KNN_WEIGHT_TAU)
+    assert np.all(predicted[1] == 4) and np.all(predicted[2] == 1)
+
+
+def test_knn_accuracies_never_holds_a_dense_similarity_matrix():
+    rng = np.random.default_rng(82)
+    count, d = 2048, 16
+    train, test = rng.normal(size=(count, d)), rng.normal(size=(count, d))
+    train_labels, test_labels = rng.integers(0, 10, count), rng.integers(0, 10, count)
+    dense_bytes = count * count * 8  # one (Q, N) float64 matrix: 32 MiB
+    tracemalloc.start()
+    try:
+        ev.knn_accuracies(train, train_labels, test, test_labels, (1, 10, 20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4, peak
+
+
+def test_knn_rejects_an_empty_test_set():
+    # used to fail in batchpipe with "expected a non-empty 1-D distance list"
+    train, labels = np.eye(3), np.arange(3)
+    empty = np.ones((0, 3))
+    with pytest.raises(ValueError, match="empty test set"):
+        ev.knn_accuracies(train, labels, empty, np.zeros(0), [1, 2])
+    with pytest.raises(ValueError, match="empty test set"):
+        ev.knn_accuracy(train, labels, empty, np.zeros(0), 1)
+    with pytest.raises(ValueError, match="empty test set"):
+        ev.knn_predict(train, labels, empty, 1)
+
+
+def test_linear_probe_rejects_an_empty_test_set():
+    # used to score nan with two RuntimeWarnings
+    x, y = _probe_data(78)
+    with pytest.raises(ValueError, match="empty test set"):
+        ev.linear_probe(x, y, x[:0], y[:0])
 
 
 def test_knn_accuracy_self_train_is_perfect():

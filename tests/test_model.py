@@ -359,6 +359,15 @@ def test_train_config_rejects_non_finite_or_non_positive_lr(lr):
         TrainConfig(lr=lr)
 
 
+@pytest.mark.parametrize("loss_kind", ["groco", "infonce", "triplet"])
+def test_diverging_train_raises_numeric_error_not_a_warning(loss_kind):
+    # under the suite's filterwarnings = ["error"] this used to raise numpy's
+    # "overflow encountered in matmul" RuntimeWarning from the MLP
+    ds = _tiny_dataset()
+    with pytest.raises(dg.NumericError, match="non-finite projection norm for view"):
+        md.train(ds, _tiny_config(loss_kind=loss_kind, lr=1e300))
+
+
 def test_train_rejects_small_dataset():
     ds = dio.synth_generate(dio.SynthConfig(clusters=2, dim=4, per_cluster=2, seed=1))
     with pytest.raises(ValueError):
