@@ -25,6 +25,7 @@ __all__ = [
 
 KNN_WEIGHT_TAU = 0.07  # similarity-weighting temperature for k-NN votes
 _KNN_BLOCK_ENTRIES = 2**16  # similarities per k-NN query block: 512 KiB of float64
+_PROBE_BLOCK_ENTRIES = 2**15  # train entries per linear-probe row block: 256 KiB of float64
 
 
 @dataclass
@@ -42,25 +43,34 @@ class EvalReport:
             raise ValueError(f"accuracies must lie in [0, 1], got {values}")
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} contains a non-finite value")
+
+
 def _unit_rows(x, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
+    _check_finite(arr, what)
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError(f"{what} contains a zero-norm embedding")
     return arr / norms
 
 
-def _knn_predictions(train_embeds, train_labels, queries, ks, weight_tau: float) -> dict[int, np.ndarray]:
+def _knn_predictions(
+    train_embeds, train_labels, queries, ks, weight_tau: float, queries_name: str = "query"
+) -> dict[int, np.ndarray]:
     """Predicted class of each query row for every k in `ks`; see
-    `knn_predict` for the rules. The queries are searched in row blocks of
-    about `_KNN_BLOCK_ENTRIES` similarities: each block gets one similarity
-    matmul, negated in place, and one stable top-k at the largest k, whose
-    indices and distances go to (Q, max k) arrays. Nothing of size Q x N
-    outlives a block. The votes then run on those arrays for every k: a
-    stable order's first k entries are the order at k, so each smaller k
-    reads a prefix of the same votes."""
+    `knn_predict` for the rules. Errors about the queries call them
+    `queries_name`, the caller's name for them. The queries are searched
+    in row blocks of about `_KNN_BLOCK_ENTRIES` similarities: each block
+    gets one similarity matmul, negated in place, and one stable top-k at
+    the largest k, whose indices and distances go to (Q, max k) arrays.
+    Nothing of size Q x N outlives a block. The votes then run on those
+    arrays for every k: a stable order's first k entries are the order at
+    k, so each smaller k reads a prefix of the same votes."""
     if not (math.isfinite(weight_tau) and weight_tau > 0):
         raise ValueError(f"weight_tau must be finite and > 0, got {weight_tau}")
     train_labels = np.asarray(train_labels)
@@ -72,7 +82,7 @@ def _knn_predictions(train_embeds, train_labels, queries, ks, weight_tau: float)
     for k in ks:
         if not (1 <= k <= train.shape[0]):
             raise ValueError(f"k must be in 1..{train.shape[0]}, got {k}")
-    queries = _unit_rows(queries, "query")
+    queries = _unit_rows(queries, queries_name)
     if queries.shape[0] < 1:
         raise ValueError("empty test set: no query embeddings")
     if queries.shape[1] != train.shape[1]:
@@ -133,7 +143,7 @@ def knn_accuracies(
     test = np.asarray(test_embeds, dtype=np.float64)
     if test.ndim != 2 or test_labels.shape != (test.shape[0],):
         raise ValueError("test embeddings/labels mismatch")
-    predicted = _knn_predictions(train_embeds, train_labels, test, ks, weight_tau)
+    predicted = _knn_predictions(train_embeds, train_labels, test, ks, weight_tau, "test_embeds")
     return {k: float(np.mean(predicted[k] == test_labels)) for k in ks}
 
 
@@ -147,6 +157,54 @@ def knn_accuracy(
 ) -> float:
     """Fraction of test points whose weighted k-NN vote matches their label."""
     return knn_accuracies(train_embeds, train_labels, test_embeds, test_labels, (k,), weight_tau)[int(k)]
+
+
+def _probe_weights(x, label_index, class_count: int, steps: int, lr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (C, D) and bias (C, 1) of `linear_probe` after `steps`
+    full-batch gradient steps on the (n, D) float64 train rows `x`, whose
+    classes are `label_index` in 0..C-1. `x` is read, never written.
+
+    The train rows are walked in blocks of about `_PROBE_BLOCK_ENTRIES`
+    entries, whose transposes are copied once, so each block's operands stay
+    in cache through its two matmuls: the block's logits go straight into
+    their column slice of `delta`, and `grad_w` sums the blocks' products.
+    The logits are those of one full matmul; `grad_w` differs from it only in
+    summation order."""
+    x = np.ascontiguousarray(x)
+    n, dim = x.shape
+    onehot = np.zeros((class_count, n))
+    onehot[label_index, np.arange(n)] = 1.0
+    rows = max(1, _PROBE_BLOCK_ENTRIES // dim)
+    spans = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+    blocks = [np.ascontiguousarray(x[span].T) for span in spans]
+    w = np.zeros((class_count, dim))
+    b = np.zeros((class_count, 1))
+    delta = np.empty((class_count, n))  # logits, then probabilities, then the gradient
+    column = np.empty(n)
+    grad_w = np.empty_like(w)
+    part = np.empty_like(w)
+    grad_b = np.empty_like(b)
+    for _ in range(steps):
+        for span, block in zip(spans, blocks):
+            np.matmul(w, block, out=delta[:, span])
+        delta += b
+        np.max(delta, axis=0, out=column)
+        delta -= column
+        np.exp(delta, out=delta)
+        np.sum(delta, axis=0, out=column)
+        delta /= column
+        delta -= onehot
+        delta /= n
+        np.matmul(delta[:, spans[0]], x[spans[0]], out=grad_w)
+        for span in spans[1:]:
+            np.matmul(delta[:, span], x[span], out=part)
+            grad_w += part
+        grad_w *= lr
+        w -= grad_w
+        np.sum(delta, axis=1, keepdims=True, out=grad_b)
+        grad_b *= lr
+        b -= grad_b
+    return w, b
 
 
 def linear_probe(
@@ -163,9 +221,10 @@ def linear_probe(
     returns test accuracy. The embeddings are never modified. The model is
     kept class-major: weights (C, D) and logits (C, n), so the softmax
     reductions run across C contiguous rows, and every step writes into
-    buffers allocated once.
+    buffers allocated once. Each step's two matmuls walk the train rows in
+    cache-sized row blocks (see `_probe_weights`).
     """
-    x = np.ascontiguousarray(train_embeds, dtype=np.float64)
+    x = np.asarray(train_embeds, dtype=np.float64)
     y = np.asarray(train_labels)
     xt = np.asarray(test_embeds, dtype=np.float64)
     yt = np.asarray(test_labels)
@@ -177,40 +236,16 @@ def linear_probe(
         raise ValueError("empty test set: no test embeddings")
     if xt.shape[1] != x.shape[1]:
         raise ValueError(f"test embedding width {xt.shape[1]} differs from train width {x.shape[1]}")
+    _check_finite(x, "train_embeds")
+    _check_finite(xt, "test_embeds")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and > 0, got {lr}")
-    classes = np.unique(y)
+    classes, label_index = np.unique(y, return_inverse=True)
     if classes.size < 2:
         raise ValueError("linear probe needs at least two classes")
-    n = x.shape[0]
-    onehot = np.zeros((classes.size, n))
-    onehot[np.searchsorted(classes, y), np.arange(n)] = 1.0
-
-    x_transposed = np.ascontiguousarray(x.T)
-    w = np.zeros((classes.size, x.shape[1]))
-    b = np.zeros((classes.size, 1))
-    delta = np.empty((classes.size, n))  # logits, then probabilities, then the gradient
-    column = np.empty(n)
-    grad_w = np.empty_like(w)
-    grad_b = np.empty_like(b)
-    for _ in range(steps):
-        np.matmul(w, x_transposed, out=delta)
-        delta += b
-        np.max(delta, axis=0, out=column)
-        delta -= column
-        np.exp(delta, out=delta)
-        np.sum(delta, axis=0, out=column)
-        delta /= column
-        delta -= onehot
-        delta /= n
-        np.matmul(delta, x, out=grad_w)
-        grad_w *= lr
-        w -= grad_w
-        np.sum(delta, axis=1, keepdims=True, out=grad_b)
-        grad_b *= lr
-        b -= grad_b
+    w, b = _probe_weights(x, label_index, classes.size, steps, lr)
     pred = classes[np.argmax(w @ xt.T + b, axis=0)]
     return float(np.mean(pred == yt))
 

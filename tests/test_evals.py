@@ -260,9 +260,9 @@ def test_linear_probe_rejects_single_class():
         ev.linear_probe(x, np.zeros(10), x, np.zeros(10))
 
 
-def _row_major_probe(x, y, xt, yt, steps, lr):
-    """The probe as a plain (n, C) loop: softmax over each row, fresh arrays
-    every step."""
+def _row_major_weights(x, y, steps, lr):
+    """The probe's training as a plain (n, C) loop: softmax over each row,
+    fresh arrays every step. Returns the classes, weights (D, C) and bias."""
     classes = np.unique(y)
     onehot = np.zeros((x.shape[0], classes.size))
     onehot[np.arange(x.shape[0]), np.searchsorted(classes, y)] = 1.0
@@ -277,6 +277,11 @@ def _row_major_probe(x, y, xt, yt, steps, lr):
         delta = (p - onehot) / n
         w -= lr * (x.T @ delta)
         b -= lr * delta.sum(axis=0)
+    return classes, w, b
+
+
+def _row_major_probe(x, y, xt, yt, steps, lr):
+    classes, w, b = _row_major_weights(x, y, steps, lr)
     pred = classes[np.argmax(xt @ w + b, axis=1)]
     return float(np.mean(pred == yt))
 
@@ -295,6 +300,41 @@ def test_linear_probe_matches_row_major_reference():
         for steps, lr in ((500, 0.1), (37, 0.8)):
             expect = _row_major_probe(x, y + 10, xt, yt + 10, steps, lr)
             assert ev.linear_probe(x, y + 10, xt, yt + 10, steps=steps, lr=lr) == expect
+
+
+def _read_only_layouts(x):
+    """`x` as a C-ordered copy, a Fortran-ordered copy and a strided view
+    into a larger array, each read-only, so that any write raises."""
+    backing = np.zeros((2 * x.shape[0], 3 * x.shape[1]))
+    backing[::2, ::3] = x
+    layouts = [x.copy(), np.asfortranarray(x), backing[::2, ::3]]
+    for layout in layouts:
+        layout.flags.writeable = False
+    return layouts
+
+
+@pytest.mark.parametrize("dim", [64, 128])  # the projection and representation widths
+def test_blocked_probe_matches_row_major_reference_across_block_edges(dim):
+    block = ev._PROBE_BLOCK_ENTRIES // dim
+    rng = np.random.default_rng(83 + dim)
+    centers = 0.3 * rng.normal(size=(5, dim))
+    for count in (block // 3, block, 2 * block + 37):  # under one block, one, and a ragged third
+        y = rng.integers(0, 5, count) + 10
+        x = centers[y - 10] + rng.normal(size=(count, dim))
+        mix = rng.uniform(0.3, 0.7, (60, 1))
+        pairs = rng.integers(0, 5, (60, 2))
+        xt = mix * centers[pairs[:, 0]] + (1 - mix) * centers[pairs[:, 1]]
+        yt = pairs[:, 0] + 10
+        classes, label_index = np.unique(y, return_inverse=True)
+        for steps in (0, 40):
+            _, expect_w, expect_b = _row_major_weights(x, y, steps, 0.5)
+            expect_accuracy = _row_major_probe(x, y, xt, yt, steps, 0.5)
+            for layout in _read_only_layouts(x):
+                w, b = ev._probe_weights(layout, label_index, classes.size, steps, 0.5)
+                assert np.abs(w - expect_w.T).max() <= 1e-12 * np.abs(expect_w).max()
+                assert np.abs(b[:, 0] - expect_b).max() <= 1e-12 * np.abs(expect_b).max()
+                assert ev.linear_probe(layout, y, xt, yt, steps=steps, lr=0.5) == expect_accuracy
+                assert np.array_equal(layout, x)
 
 
 def _probe_data(seed):
@@ -333,6 +373,37 @@ def test_linear_probe_never_mutates_embeddings():
     x_before = x.copy()
     ev.linear_probe(x, y, x, y, steps=50, lr=0.5)
     assert np.array_equal(x, x_before)
+
+
+_EMBEDDING_ARGUMENTS = [
+    ("linear_probe", "train_embeds"),
+    ("linear_probe", "test_embeds"),
+    ("knn_predict", "train_embeds"),
+    ("knn_predict", "query"),
+    ("knn_accuracy", "train_embeds"),
+    ("knn_accuracy", "test_embeds"),
+    ("knn_accuracies", "train_embeds"),
+    ("knn_accuracies", "test_embeds"),
+]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("function, argument", _EMBEDDING_ARGUMENTS)
+def test_evals_reject_non_finite_embeddings(function, argument, bad):
+    # a single nan used to give a silent score, and an inf numpy's "invalid
+    # value encountered in matmul" warning
+    x, y = _probe_data(78)
+    kwargs = {"train_embeds": x, "train_labels": y}
+    if function == "knn_predict":
+        kwargs.update(query=x[3], k=3)
+    else:
+        kwargs.update(test_embeds=x, test_labels=y)
+        kwargs.update({"knn_accuracy": {"k": 3}, "knn_accuracies": {"ks": [1, 3]}}.get(function, {}))
+    spoiled = np.array(kwargs[argument])
+    spoiled.flat[spoiled.size // 2] = bad
+    kwargs[argument] = spoiled
+    with pytest.raises(ValueError, match=f"{argument} contains a non-finite value"):
+        getattr(ev, function)(**kwargs)
 
 
 TOY_INIT = [0.0, 0.6, 0.3, 0.0, -0.3]
