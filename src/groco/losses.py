@@ -122,27 +122,33 @@ def bce(p: float, q: float) -> float:
 
 def _bce_mean(p, targets: np.ndarray, denom: float):
     """Mean clamped binary cross-entropy of `p` against constant targets:
-    the sum of the terms over `denom`. A `diffgrad.Tensor` input is recorded
-    as one `bce_mean` op, on which the targets are a private copy."""
-    targets = np.array(targets, dtype=np.float64)
-    pt = np.clip(_raw(p), BCE_EPSILON, 1.0 - BCE_EPSILON)
-    ll = targets * np.log(pt) + (1.0 - targets) * np.log(1.0 - pt)
-    loss = np.sum(ll) * (-1.0 / denom)
+    the sum of the terms over `denom`.
+
+    Every target must be 0 or 1, as the group-ordering loss's and a hard
+    permutation's are. Each term is then -log(pt) or -log(1 - pt), picked by
+    its target, which is bitwise t * log(pt) + (1 - t) * log(1 - pt); any
+    other nonzero target would count as 1. A `diffgrad.Tensor` input is
+    recorded as one `bce_mean` op, which keeps the targets as a private
+    boolean copy, and pt and 1 - pt for the gradient."""
+    hits = np.array(targets, dtype=bool)
+    pt = np.minimum(np.maximum(_raw(p), BCE_EPSILON), 1.0 - BCE_EPSILON)
+    rest_pt = 1.0 - pt
+    loss = np.log(np.where(hits, pt, rest_pt)).sum() * (-1.0 / denom)
     if isinstance(p, Tensor):
-        return p.tape._append("bce_mean", (p,), loss, targets=targets, pt=pt, factor=-1.0 / denom)
+        return p.tape._append("bce_mean", (p,), loss, hits=hits, pt=pt, rest_pt=rest_pt, factor=-1.0 / denom)
     return loss
 
 
 def _vjp_bce_mean(node, g):
     """Gradient of the clamped terms, zero where the clamp holds p, its
-    bounds included. The forward is the clamp, log, multiply, sum and scale
-    chain written out in numpy; each term here is grouped as a tape of that
-    chain computes it, (g * t) / pt and not g * (t / pt), so the gradient is
-    bitwise the chain's too."""
+    bounds included: g / pt at a target of 1 and -g / (1 - pt) at a target
+    of 0. These are bitwise what a tape of the clamp, log, multiply, sum and
+    scale chain computes for 0/1 targets, -(g * (1 - t)) / (1 - pt) +
+    (g * t) / pt, since one of its two terms is then a zero."""
+    attrs = node.attrs
     p = node.inputs[0].data
-    t, pt = node.attrs["targets"], node.attrs["pt"]
-    g = float(g * node.attrs["factor"])
-    gp = -(g * (1.0 - t)) / (1.0 - pt) + (g * t) / pt
+    g = float(g * attrs["factor"])
+    gp = np.where(attrs["hits"], g / attrs["pt"], -g / attrs["rest_pt"])
     return (gp * ((p > BCE_EPSILON) & (p < 1.0 - BCE_EPSILON)),)
 
 

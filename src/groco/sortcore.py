@@ -71,7 +71,7 @@ def _check_values(values, max_ndim: int = 1) -> np.ndarray:
     if not (1 <= arr.ndim <= max_ndim) or arr.size < 1:
         kind = "1-D value list" if max_ndim == 1 else "value list or (A, n) batch of them"
         raise ValueError(f"expected a non-empty {kind}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("values must be finite")
     return arr
 
@@ -179,8 +179,9 @@ def _network(values: np.ndarray, beta: float, keep: bool):
     swap = f(v_i - v_j): row_i -= swap * (row_i - row_j) and
     row_j += swap * (row_i - row_j). Returns P after all n steps, its rows
     back in place order, and, if `keep`, per step with at least one pair,
-    (top block, bottom block, swap, row_i - row_j, beta * (v_i - v_j)) for
-    the gradient; otherwise nothing is kept and the second result is None.
+    (step parity, swap, row_i - row_j, slope) for the gradient, where
+    slope = d swap / d(v_i - v_j); otherwise nothing is kept and the second
+    result is None.
     """
     rows, n = values.shape
     evens = (n + 1) // 2
@@ -192,25 +193,39 @@ def _network(values: np.ndarray, beta: float, keep: bool):
     flat[:, : evens * (n + 1) : n + 3] = 1.0
     flat[:, evens * (n + 1) + 1 :: n + 3] = 1.0
     _parity_rows(values, m[:, :, n])
-    blocks = _parity_blocks(n)
+    blocks = [(top.stop - top.start, m[:, top], m[:, bottom]) for top, bottom in _parity_blocks(n)]
     saved = [] if keep else None
+    # one slot per comparator for beta * (v_i - v_j), turned into the slopes
+    # after the last step
+    slopes = np.empty((rows, n * (n - 1) // 2)) if keep else None
+    used = 0
     for step in range(n):
-        top_rows, bottom_rows = blocks[step % 2]
-        if top_rows.start == top_rows.stop:
+        pairs, top, bottom = blocks[step % 2]
+        if pairs == 0:
             continue
-        top, bottom = m[:, top_rows], m[:, bottom_rows]
         diff = top - bottom
-        beta_gap = beta * diff[..., n]
+        if keep:
+            beta_gap = np.multiply(beta, diff[..., n], out=slopes[:, used : used + pairs])
+            used += pairs
+        else:
+            beta_gap = beta * diff[..., n]
         swap = np.arctan(beta_gap)
         swap *= _INV_PI
         swap += 0.5
+        swap = swap[..., None]
         if keep:
-            shift = swap[..., None] * diff
-            saved.append((top_rows, bottom_rows, swap, diff, beta_gap))
+            shift = swap * diff
+            saved.append((step % 2, swap, diff, beta_gap))
         else:
-            shift = np.multiply(swap[..., None], diff, out=diff)
+            shift = np.multiply(swap, diff, out=diff)
         top -= shift
         bottom += shift
+    if keep:
+        # d swap / d(v_i - v_j) = (beta / pi) / (1 + (beta * (v_i - v_j))^2),
+        # written over the stored beta * gaps that each step holds a view of
+        np.square(slopes, out=slopes)
+        slopes += 1.0
+        np.divide(beta * _INV_PI, slopes, out=slopes)
     return _place_rows(m[:, :, :n], np.empty((rows, n, n))), saved
 
 
@@ -220,19 +235,20 @@ def _vjp_sort_matrix(node, g):
     each swap depends on its pair's values. The gradient state has the
     forward's parity-major row order, undone once on the value gradient."""
     x = node.inputs[0]
-    beta = node.attrs["beta"]
     n = x.shape[-1]
     rows = x.size // n
     gm = np.zeros((rows, n, n + 1), dtype=np.float64)
     _parity_rows(g.reshape(rows, n, n), gm[:, :, :n])
-    for top_rows, bottom_rows, swap, diff, beta_gap in reversed(node.attrs["saved"]):
-        g_top, g_bottom = gm[:, top_rows], gm[:, bottom_rows]
+    blocks = [(gm[:, top], gm[:, bottom]) for top, bottom in _parity_blocks(n)]
+    for parity, swap, diff, slope in reversed(node.attrs["saved"]):
+        g_top, g_bottom = blocks[parity]
         g_diff = g_top - g_bottom
-        g_stay = np.einsum("apk,apk->ap", g_diff, diff)
-        shift = np.multiply(swap[..., None], g_diff, out=g_diff)
-        # g_stay = -dL/dswap reaches the values through d swap / d(v_i - v_j):
+        g_stay = np.vecdot(g_diff, diff)
+        shift = np.multiply(swap, g_diff, out=g_diff)
+        # g_stay = -dL/dswap reaches the values through the slope:
         # negative at v_i, positive at v_j
-        shift[..., n] += g_stay * (beta * _INV_PI) / (1.0 + np.square(beta_gap))
+        g_stay *= slope
+        shift[..., n] += g_stay
         g_top -= shift
         g_bottom += shift
     return (_place_rows(gm[:, :, n], np.empty((rows, n))).reshape(x.shape),)
@@ -257,7 +273,7 @@ def sort_matrix(values, beta: float):
     p, saved = _network(arr.reshape(-1, n), beta, keep=taped)
     p = p.reshape(arr.shape + (n,))
     if taped:
-        return values.tape._append("sort_matrix", (values,), p, beta=beta, saved=saved)
+        return values.tape._append("sort_matrix", (values,), p, saved=saved)
     return p
 
 

@@ -172,6 +172,22 @@ def test_metrics_append_header_and_rows(tmp_path):
     assert lines[2].split(",")[1] == "1"
 
 
+def test_metrics_append_writes_the_header_only_into_an_empty_file(tmp_path):
+    row = {"epoch": 0, "step": 0, "loss": 1.0, "lr": 0.1}
+    fresh = tmp_path / "fresh.csv"
+    for step in range(3):
+        dio.metrics_append(fresh, {**row, "step": step})
+    assert fresh.read_text().splitlines() == ["epoch,step,loss,lr", "0,0,1,0.1", "0,1,1,0.1", "0,2,1,0.1"]
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    dio.metrics_append(empty, row)
+    assert empty.read_text().splitlines() == ["epoch,step,loss,lr", "0,0,1,0.1"]
+    started = tmp_path / "started.csv"
+    started.write_text("a,b\n")
+    dio.metrics_append(started, row)
+    assert started.read_text().splitlines() == ["a,b", "0,0,1,0.1"]
+
+
 def test_metrics_append_requires_fields(tmp_path):
     with pytest.raises(ValueError):
         dio.metrics_append(tmp_path / "m.csv", {"epoch": 0, "loss": 1.0, "lr": 0.1})

@@ -301,6 +301,24 @@ def test_bce_mean_equals_the_op_chain():
     assert clamped > 0
 
 
+def test_bce_mean_is_bitwise_the_op_chain_at_the_clamp_bounds():
+    # 0/1 targets, the only ones the losses pass, against p exactly 0 and 1,
+    # at both bounds, just inside them and past them
+    eps = ls.BCE_EPSILON
+    p = np.array([0.0, eps / 2, eps, 2 * eps, 0.5, 1.0 - 2 * eps, 1.0 - eps, 1.0 - eps / 2, 1.0, -0.25, 1.25])
+    p = np.stack([p, p[::-1]])
+    for targets in (np.zeros(p.shape), np.ones(p.shape), np.indices(p.shape).sum(axis=0) % 2.0):
+        results = []
+        for fn in (ls._bce_mean, _bce_chain):
+            tape = dg.Tape()
+            x = tape.variable(p)
+            loss = fn(x, targets, 22.0)
+            results.append((float(loss.data), dg.backward(tape, loss).grad(x)))
+        (loss, grad), (chain_loss, chain_grad) = results
+        assert loss == chain_loss and ls._bce_mean(p, targets, 22.0) == loss
+        assert np.array_equal(grad, chain_grad)
+
+
 def test_bce_mean_gradient_is_zero_at_and_past_the_clamp():
     eps = ls.BCE_EPSILON
     p = np.array([0.0, eps / 2, eps, 1.0 - eps, 1.0 - eps / 2, 1.0, 0.3])

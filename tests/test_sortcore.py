@@ -202,11 +202,23 @@ def test_sort_matrix_never_writes_to_its_input():
         assert np.array_equal(dg.VJP_RULES["sort_matrix"](node, g)[0], grad)
 
 
-def _stride2_sort_matrix(rows, beta, g):
+def _vecdot_stay(g_diff, diff, beta, beta_gap):
+    """The stay gradient as `sort_matrix` associates it: one vecdot, times
+    the slope (beta / pi) / (1 + (beta * gap)^2) computed whole."""
+    return np.vecdot(g_diff, diff) * ((beta * (1.0 / math.pi)) / (1.0 + np.square(beta_gap)))
+
+
+def _einsum_stay(g_diff, diff, beta, beta_gap):
+    """The stay gradient as the backward associated it before its slopes
+    were batched: an einsum, times beta / pi, over 1 + (beta * gap)^2."""
+    return np.einsum("apk,apk->ap", g_diff, diff) * (beta * (1.0 / math.pi)) / (1.0 + np.square(beta_gap))
+
+
+def _stride2_sort_matrix(rows, beta, g, stay=_vecdot_stay):
     """Reference network with its rows in place order: each step compares
     the stride-2 rows m[:, lo:hi:2] and m[:, lo + 1:hi:2]. Returns P of each
     row of `rows` (A, n) and the value gradient for the upstream gradient
-    `g` (A, n, n) on P."""
+    `g` (A, n, n) on P, whose stay gradients come from `stay`."""
     count, n = rows.shape
     m = np.zeros((count, n, n + 1))
     m[:, np.arange(n), np.arange(n)] = 1.0
@@ -230,9 +242,9 @@ def _stride2_sort_matrix(rows, beta, g):
     for lo, hi, swap, diff, beta_gap in reversed(saved):
         g_top, g_bottom = gm[:, lo:hi:2], gm[:, lo + 1 : hi : 2]
         g_diff = g_top - g_bottom
-        g_stay = np.einsum("apk,apk->ap", g_diff, diff)
+        g_stay = stay(g_diff, diff, beta, beta_gap)
         shift = np.multiply(swap[..., None], g_diff, out=g_diff)
-        shift[..., n] += g_stay * (beta * (1.0 / math.pi)) / (1.0 + np.square(beta_gap))
+        shift[..., n] += g_stay
         g_top -= shift
         g_bottom += shift
     return m[:, :, :n], gm[:, :, n]
@@ -259,6 +271,28 @@ def test_sort_matrix_parity_major_layout_is_bitwise_the_stride2_network(n):
         assert _same_bits(sc.sort_matrix(rows, beta), taped.data)
         for row, got in zip(rows, taped.data):
             assert _same_bits(sc.sort_matrix(row, beta), got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 33, 64])
+def test_sort_matrix_gradient_is_within_1e_13_of_the_einsum_backward(n):
+    # tied rows, and a row spread by 1e6 that saturates every swap at beta 64
+    rng = np.random.default_rng(200 + n)
+    for beta in (0.3, 1.0, 7.5, 64.0):
+        rows = np.vstack([_tied_batch(rng, n) * n, 1e6 * rng.permutation(n)])
+        g = rng.normal(size=(5, n, n))
+        expect_p, expect_grad = _stride2_sort_matrix(rows, beta, g, stay=_einsum_stay)
+        tape = dg.Tape()
+        x = tape.variable(rows)
+        taped = sc.sort_matrix(x, beta)
+        assert _same_bits(taped.data, sc.sort_matrix(rows, beta)), (n, beta)
+        assert _same_bits(taped.data, expect_p), (n, beta)
+        if n == 1:
+            assert tape.nodes[0].attrs["saved"] == []  # no comparator, no slope
+        grad = dg.backward(tape, dg.sum(dg.mul(taped, g))).grad(x)
+        for got, expect in zip(grad, expect_grad):
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect)), (n, beta)
+    if n == 1:
+        assert np.array_equal(grad, np.zeros((5, 1)))
 
 
 def _stride2_border_mass(rows, k, beta, g):
