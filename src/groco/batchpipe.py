@@ -227,8 +227,8 @@ def _split(block, num_positives: int):
     rows, width = block.shape
     starts = width * np.arange(rows)[:, None]
     return (
-        dg.index_select(block, starts + np.arange(num_positives), assume_unique=True),
-        dg.index_select(block, starts + np.arange(num_positives, width), assume_unique=True),
+        dg.index_select(block, starts + np.arange(num_positives)),
+        dg.index_select(block, starts + np.arange(num_positives, width)),
     )
 
 

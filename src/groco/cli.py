@@ -140,22 +140,17 @@ def cmd_eval(args) -> int:
     train_ds, test_ds = dataio.split_dataset(dataset, args.split, args.seed)
     train_embeds = _embed(params, train_ds, args.space)
     test_embeds = _embed(params, test_ds, args.space)
-    report = evals.EvalReport(
-        space=args.space,
-        meta={"ckpt": str(args.ckpt), "data": str(args.data), "seed": str(args.seed)},
-    )
+    knn, linear = {}, None
     if args.mode == "knn":
         ks = _parse_floats(args.k, "--k")
         if not all(k.is_integer() for k in ks):
             raise ValueError(f"--k must be comma-separated integers, got {args.k!r}")
         ks = [int(k) for k in ks]
-        report.knn_accuracies = evals.knn_accuracies(
-            train_embeds, train_ds.labels, test_embeds, test_ds.labels, ks, args.weight_tau
-        )
+        knn = evals.knn_accuracies(train_embeds, train_ds.labels, test_embeds, test_ds.labels, ks, args.weight_tau)
         for k in ks:
-            print(f"knn k={k} space={report.space} accuracy={report.knn_accuracies[k]:.6f}")
+            print(f"knn k={k} space={args.space} accuracy={knn[k]:.6f}")
     else:
-        report.linear_probe_accuracy = evals.linear_probe(
+        linear = evals.linear_probe(
             train_embeds,
             train_ds.labels,
             test_embeds,
@@ -163,14 +158,14 @@ def cmd_eval(args) -> int:
             steps=args.probe_steps,
             lr=args.probe_lr,
         )
-        print(f"linear_probe space={report.space} accuracy={report.linear_probe_accuracy:.6f}")
+        print(f"linear_probe space={args.space} accuracy={linear:.6f}")
     if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write("metric,k,accuracy\n")
-            for k, acc in report.knn_accuracies.items():
+            for k, acc in knn.items():
                 fh.write(f"knn,{k},{acc:.12g}\n")
-            if report.linear_probe_accuracy is not None:
-                fh.write(f"linear,,{report.linear_probe_accuracy:.12g}\n")
+            if linear is not None:
+                fh.write(f"linear,,{linear:.12g}\n")
     return EXIT_OK
 
 

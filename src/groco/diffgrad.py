@@ -1,22 +1,22 @@
 """Reverse-mode differentiation on a flat tape of numpy-backed tensors.
 
-The op set is deliberately small: just enough to push gradients through
-cosine distances, the losses, and a small MLP, whose layers are one
+The op set is deliberately small: the generic ops that the losses and the
+optimization-dynamics experiment record, and a small MLP's layers, one
 `affine` op each, or one `affine_pair` op for two layers with no ReLU
-between them. Every op
-function here dispatches on its arguments: given plain numpy arrays (or
-floats) it computes the forward value directly, given a `Tensor` it records
-a node on the owning `Tape`. Algorithm code elsewhere in the package is
-therefore written once and runs in both "plain" and "recorded" mode.
+between them. Every op function here dispatches on its arguments: given
+plain numpy arrays (or floats) it computes the forward value directly,
+given a `Tensor` it records a node on the owning `Tape`. Algorithm code
+elsewhere in the package is therefore written once and runs in both
+"plain" and "recorded" mode.
 
 Gradients come from `backward(tape, loss)`, which replays the tape in
 reverse, applying one vector-Jacobian product rule per node. The rules live
 in the module-level `VJP_RULES` table so tests can install a corrupted rule
 as a negative control. An op whose forward lives in another module of the
-package (the relaxed sorting network in `sortcore`, the selected distances
-in `batchpipe`, the clamped binary cross-entropy in `losses`) records
-itself with `Tape._append` and adds its rule to this table beside its
-forward.
+package (the relaxed sorting network in `sortcore`, the cosine distances
+of the selected groups in `batchpipe`, the clamped binary cross-entropy in
+`losses`) records itself with `Tape._append` and adds its rule to this
+table beside its forward.
 """
 
 from __future__ import annotations
@@ -38,25 +38,21 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "matmul",
     "affine",
     "affine_pair",
     "log",
     "exp",
-    "l2norm",
     "clamp",
     "scale",
     "concat",
     "index_select",
-    "stop_grad",
-    "transpose",
 ]
 
 
 class NumericError(ArithmeticError):
-    """Raised when an operation hits an invalid numeric domain (division by
-    zero, non-positive log input, zero-norm vector, non-finite evaluation)."""
+    """Raised when an operation hits an invalid numeric domain (non-positive
+    log input, zero-norm vector, non-finite evaluation)."""
 
 
 def _as_array(x) -> np.ndarray:
@@ -112,12 +108,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -233,19 +223,6 @@ def mul(a, b):
     return tape._append("mul", (a, b), np.multiply(a.data, b.data))
 
 
-def div(a, b):
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        b = _as_array(b)
-        if np.any(b == 0.0):
-            raise NumericError("division by zero")
-        return np.divide(_as_array(a), b)
-    tape = _find_tape(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    if np.any(b.data == 0.0):
-        raise NumericError(f"division by zero at node {len(tape.nodes)}")
-    return tape._append("div", (a, b), np.divide(a.data, b.data))
-
-
 def _matmul_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim not in (1, 2) or b.ndim not in (1, 2):
         raise ValueError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
@@ -333,19 +310,6 @@ def sum(x):  # noqa: A001 - mirrors the op name; full reduction to a scalar
     return x.tape._append("sum", (x,), np.sum(x.data))
 
 
-def _l2norm_forward(x: np.ndarray, axis, keepdims) -> np.ndarray:
-    return np.sqrt(np.sum(np.square(x), axis=axis, keepdims=keepdims))
-
-
-def l2norm(x, axis=None, keepdims=False):
-    if not isinstance(x, Tensor):
-        return _l2norm_forward(_as_array(x), axis, keepdims)
-    out = _l2norm_forward(x.data, axis, keepdims)
-    if np.any(out == 0.0):
-        raise NumericError(f"l2norm of zero vector at node {len(x.tape.nodes)}")
-    return x.tape._append("l2norm", (x,), out, axis=axis, keepdims=keepdims)
-
-
 def clamp(x, lo=None, hi=None):
     if lo is None and hi is None:
         raise ValueError("clamp requires at least one bound")
@@ -375,7 +339,7 @@ def concat(parts):
     return tape._append("concat", tuple(parts), out)
 
 
-def index_select(x, indices, assume_unique=False):
+def index_select(x, indices):
     """Gather by flat index; the output takes the shape of `indices`.
 
     Covers row selection, reordering, transposition and tiling. Gradients
@@ -390,35 +354,7 @@ def index_select(x, indices, assume_unique=False):
     if indices.size and (indices.min() < 0 or indices.max() >= x.size):
         raise ValueError("index_select index out of range")
     out = np.take(x.data.ravel(), indices)
-    return x.tape._append("index_select", (x,), out, indices=indices, assume_unique=assume_unique)
-
-
-def stop_grad(x):
-    """Identity forward, zero gradient toward the input."""
-    if not isinstance(x, Tensor):
-        return _as_array(x)
-    return x.tape._append("stop_grad", (x,), x.data)
-
-
-_TRANSPOSE_IDX: dict[tuple[int, int], np.ndarray] = {}
-
-
-def transpose(x):
-    """2-D transpose, expressed as a permutation gather in recorded mode."""
-    if not isinstance(x, Tensor):
-        x = _as_array(x)
-        if x.ndim != 2:
-            raise ValueError("transpose expects a 2-D operand")
-        return x.T.copy()
-    if x.ndim != 2:
-        raise ValueError("transpose expects a 2-D operand")
-    m, n = x.shape
-    key = (m, n)
-    idx = _TRANSPOSE_IDX.get(key)
-    if idx is None:
-        idx = np.arange(m * n, dtype=np.intp).reshape(m, n).T.copy()
-        _TRANSPOSE_IDX[key] = idx
-    return index_select(x, idx, assume_unique=True)
+    return x.tape._append("index_select", (x,), out, indices=indices)
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +374,6 @@ def _vjp_sub(node, g):
 def _vjp_mul(node, g):
     a, b = node.inputs
     return (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape))
-
-
-def _vjp_div(node, g):
-    a, b = node.inputs
-    ga = _unbroadcast(g / b.data, a.shape)
-    gb = _unbroadcast(-g * a.data / np.square(b.data), b.shape)
-    return (ga, gb)
 
 
 def _vjp_matmul(node, g):
@@ -497,16 +426,6 @@ def _vjp_sum(node, g):
     return (np.full(node.inputs[0].shape, float(g)),)
 
 
-def _vjp_l2norm(node, g):
-    x = node.inputs[0].data
-    out = node.output.data
-    axis = node.attrs["axis"]
-    if axis is not None and not node.attrs["keepdims"]:
-        g = np.expand_dims(g, axis)
-        out = np.expand_dims(out, axis)
-    return (g * (x / out),)
-
-
 def _vjp_clamp(node, g):
     x = node.inputs[0].data
     lo, hi = node.attrs["lo"], node.attrs["hi"]
@@ -534,36 +453,24 @@ def _vjp_concat(node, g):
 
 def _vjp_index_select(node, g):
     x = node.inputs[0]
-    idx = node.attrs["indices"]
-    gx = np.zeros(x.size, dtype=np.float64)
-    if node.attrs["assume_unique"]:
-        gx[idx.ravel()] = g.ravel()
-    else:
-        np.add.at(gx, idx.ravel(), g.ravel())
+    gx = np.bincount(node.attrs["indices"].ravel(), weights=g.ravel(), minlength=x.size)
     return (gx.reshape(x.shape),)
-
-
-def _vjp_stop_grad(node, g):
-    return (None,)
 
 
 VJP_RULES = {
     "add": _vjp_add,
     "sub": _vjp_sub,
     "mul": _vjp_mul,
-    "div": _vjp_div,
     "matmul": _vjp_matmul,
     "affine": _vjp_affine,
     "affine_pair": _vjp_affine_pair,
     "log": _vjp_log,
     "exp": _vjp_exp,
     "sum": _vjp_sum,
-    "l2norm": _vjp_l2norm,
     "clamp": _vjp_clamp,
     "scale": _vjp_scale,
     "concat": _vjp_concat,
     "index_select": _vjp_index_select,
-    "stop_grad": _vjp_stop_grad,
 }
 
 
@@ -605,8 +512,6 @@ def backward(tape: Tape, loss: Tensor) -> GradientMap:
         if g is None:
             continue
         for inp, gi in zip(node.inputs, VJP_RULES[node.op_kind](node, g)):
-            if gi is None:
-                continue
             acc = grads.get(inp.tid)
             grads[inp.tid] = gi if acc is None else acc + gi
     return GradientMap(grads)

@@ -4,7 +4,7 @@ optimization-dynamics experiment."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from . import diffgrad as dg
 from . import losses
 
 __all__ = [
-    "EvalReport",
     "ToyTrajectory",
     "knn_predict",
     "knn_accuracies",
@@ -26,21 +25,6 @@ __all__ = [
 KNN_WEIGHT_TAU = 0.07  # similarity-weighting temperature for k-NN votes
 _KNN_BLOCK_ENTRIES = 2**16  # similarities per k-NN query block: 512 KiB of float64
 _PROBE_BLOCK_ENTRIES = 2**15  # train entries per linear-probe row block: 256 KiB of float64
-
-
-@dataclass
-class EvalReport:
-    knn_accuracies: dict[int, float] = field(default_factory=dict)
-    linear_probe_accuracy: float | None = None
-    space: str = "representation"
-    meta: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        values = list(self.knn_accuracies.values())
-        if self.linear_probe_accuracy is not None:
-            values.append(self.linear_probe_accuracy)
-        if any(not (0.0 <= v <= 1.0) for v in values):
-            raise ValueError(f"accuracies must lie in [0, 1], got {values}")
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -289,9 +273,7 @@ def toy_dynamics(loss_kind: str, init_similarities, steps: int, lr: float, param
         s = tape.variable(sims)
         d = dg.scale(s, -1.0)
         if loss_kind == "groco":
-            neg_order = np.argsort(-sims[1:], kind="stable")  # ascending distance
-            row = dg.index_select(d, np.concatenate([[0], 1 + neg_order]))
-            loss = losses.group_loss_from_concat(row, 1, params.beta)
+            loss = losses.groco_from_raw_distances(d, 1, params.beta)
         else:
             d_pos = dg.index_select(d, np.array([0], dtype=np.intp))
             d_neg = dg.index_select(d, 1 + np.arange(neg_count, dtype=np.intp))

@@ -183,11 +183,11 @@ def group_loss_from_concat(d, num_positives: int, beta: float):
     """Group-ordering loss over already concatenated distance lists whose
     first `num_positives` entries are the positive group.
 
-    The batch pipeline and the optimization-dynamics experiment call it on
-    one [positives | negatives] row per anchor, for both pre-ordering
-    settings. Non-finite values are rejected, but the order is not checked
-    here: with pre-ordering the caller checks it, and without it the
-    unordered groups go to the sorting network as they are.
+    The batch pipeline calls it on one [positives | negatives] row per
+    anchor, for both pre-ordering settings. Non-finite values are rejected,
+    but the order is not checked here: with pre-ordering the caller checks
+    it, and without it the unordered groups go to the sorting network as
+    they are.
     """
     arr = _check_group("distances", d)
     k = _check_split(arr, num_positives)
@@ -216,9 +216,9 @@ def groco_from_raw_distances(d, num_positives: int, beta: float):
     `num_positives` entries of each off as the positive group, hard pre-order
     each group ascending, and apply the group-ordering loss.
 
-    This is the function the gradient checker probes; the pre-ordering is an
-    index selection recomputed from the current values, so it is smooth away
-    from ties.
+    The gradient checker probes it and the optimization-dynamics experiment
+    descends it; the pre-ordering is an index selection recomputed from the
+    current values, so it is smooth away from ties.
     """
     raw = _check_group("distances", d)
     k = _check_split(raw, num_positives)

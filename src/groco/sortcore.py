@@ -385,13 +385,15 @@ def diff_sort(values, beta: float):
     a `RelaxedPermutation`; with a `diffgrad.Tensor` input both results are
     tensors on the input's tape.
     """
-    if not isinstance(values, Tensor):
-        values = _check_values(values)
-    elif values.ndim != 1:
-        raise ValueError(f"expected a non-empty 1-D value list, got shape {values.shape}")
-    p = sort_matrix(values, beta)
-    sorted_soft = dg.matmul(p, values)
-    return (sorted_soft, p) if isinstance(values, Tensor) else (sorted_soft, RelaxedPermutation(p))
+    if isinstance(values, Tensor):
+        if values.ndim != 1:
+            raise ValueError(f"expected a non-empty 1-D value list, got shape {values.shape}")
+        p = sort_matrix(values, beta)
+        return dg.matmul(p, values), p
+    # a plain list is checked once here; `sort_matrix` would check it again
+    arr = _check_values(values)
+    p = _network(arr[None], _check_beta(beta), keep=False)[0][0]
+    return p @ arr, RelaxedPermutation(p)
 
 
 def hard_sort(values) -> tuple[np.ndarray, HardPermutation]:

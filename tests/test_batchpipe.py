@@ -7,6 +7,7 @@ from groco import losses as ls
 from groco.diffgrad import NumericError, Tape
 from groco.losses import GroCoParams, InfoNCEParams, TripletParams
 
+import tapeops
 from oracles import oracle_groco, oracle_infonce, oracle_triplet
 
 
@@ -543,13 +544,17 @@ def test_batch_loss_matches_per_anchor_oracles_with_ties():
 
 
 def _dense_chain_loss(batch, kind, params, count, stop_grad, preorder, rng):
-    """`batch_loss` as it was built from public ops before the selected-
+    """`batch_loss` as it was built from generic ops before the selected-
     distances op: normalized rows, the full (A, A) distance matrix on the
-    tape, and one gather each for the positives and the negatives."""
+    tape, and one gather each for the positives and the negatives. The rows
+    are normalized with the `tapeops` ops, whose rules the caller installs;
+    stop-gradient is a constant copy of the unit rows, and the transpose a
+    gather."""
     x = batch.projections
-    unit = dg.div(x, dg.l2norm(x, axis=1, keepdims=True))
-    others = dg.stop_grad(unit) if stop_grad else unit
-    d = dg.scale(dg.matmul(unit, dg.transpose(others)), -1.0)
+    unit = tapeops.div(x, tapeops.l2norm(x))
+    others = x.tape.constant(unit.data) if stop_grad else unit
+    rows, dim = x.shape
+    d = dg.scale(dg.matmul(unit, dg.index_select(others, np.arange(rows * dim).reshape(rows, dim).T)), -1.0)
     # a writable copy: the selection masks the anchors' own columns in place
     pos, neg = bp._select_groups(batch, d.data.copy(), count, rng is not None, preorder, rng)
     row_start = batch.num_views * np.arange(batch.num_views)[:, None]
@@ -563,7 +568,8 @@ def _dense_chain_loss(batch, kind, params, count, stop_grad, preorder, rng):
     return ls.triplet_loss(d_pos, d_neg, params)
 
 
-def test_selected_distances_match_the_dense_chain():
+def test_selected_distances_match_the_dense_chain(monkeypatch):
+    tapeops.install(monkeypatch)
     rng = np.random.default_rng(61)
     for views, images in ((2, 6), (3, 4)):
         raw = rng.normal(size=(views * images, 5))
