@@ -5,8 +5,8 @@ views of the same image, its negatives the views of all other images. Both
 groups are hard index selections (top-N strongest negatives, ascending
 pre-ordering), made for all anchors at once as one row per anchor. The
 distance matrix is computed as plain numpy; only the selected (A, m - 1 + N)
-block is recorded, as one tape op whose hand-written gradient gathers the
-selected rows alone instead of forming an (A, A) product. Stop-gradient (the
+block is recorded, as one tape op whose hand-written gradient is one dense
+(A, A) product with the unit rows at every selection width. Stop-gradient (the
 default) lives in that gradient: the other views count as constants, so the
 loss gradient reaches only each anchor's own projection.
 
@@ -168,18 +168,18 @@ def _select_groups(
 
 def _vjp_selected_distances(node, g):
     """The distances are d = -x_hat x_hat^T. Anchor i's gradient is
-    -sum_c g_ic x_hat_c over its selected columns c, gathered from those
-    rows alone. Without stop-gradient each column c also gets -g_ic x_hat_i:
-    a row selects each column at most once, so the pairs are scattered into
-    a zero (A, A) matrix whose transpose one matmul sums. The row
-    normalization then maps each row's gradient h to
+    -sum_c g_ic x_hat_c over its selected columns c. Without stop-gradient
+    each column c also gets -g_ic x_hat_i. A row selects each column at most
+    once, so g is assigned into a zero (A, A) matrix S, S + S^T holds both
+    terms, and one product with the unit rows sums them at every selection
+    width. The row normalization then maps each row's gradient h to
     (h - x_hat <h, x_hat>) / |x|."""
     unit, norms, cols = node.attrs["unit"], node.attrs["norms"], node.attrs["cols"]
-    h = np.matmul(g[:, None, :], np.take(unit, cols, axis=0)).reshape(unit.shape)
+    scattered = np.zeros((unit.shape[0],) * 2)
+    scattered[np.arange(unit.shape[0])[:, None], cols] = g
     if not node.attrs["stop_grad"]:
-        scattered = np.zeros((unit.shape[0],) * 2)
-        scattered[cols, np.arange(unit.shape[0])[:, None]] = g
-        h += scattered @ unit
+        scattered += scattered.T
+    h = scattered @ unit
     np.negative(h, out=h)
     h -= unit * np.sum(h * unit, axis=1, keepdims=True)
     return (h / norms,)

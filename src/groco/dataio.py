@@ -213,18 +213,17 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def metrics_append(path, record) -> None:
-    """Append one CSV row, writing the header first when the file is new or
-    empty, and flushing per row. The opened file is asked for its size, so
-    nothing else looks the path up. Floats keep 12 significant digits."""
+def metrics_append(fh, record) -> None:
+    """Append one CSV row to the open text file `fh` (opened with
+    `newline=""`), writing the header first when the file is empty, and
+    flush it. Floats keep 12 significant digits."""
     missing = [k for k in _REQUIRED_FIELDS if k not in record]
     if missing:
         raise ValueError(f"metrics record missing required fields: {missing}")
     extras = sorted(k for k in record if k not in _REQUIRED_FIELDS)
     fields = [*_REQUIRED_FIELDS, *extras]
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if os.fstat(fh.fileno()).st_size == 0:
-            writer.writerow(fields)
-        writer.writerow([_format_value(record[k]) for k in fields])
-        fh.flush()
+    writer = csv.writer(fh)
+    if os.fstat(fh.fileno()).st_size == 0:
+        writer.writerow(fields)
+    writer.writerow([_format_value(record[k]) for k in fields])
+    fh.flush()

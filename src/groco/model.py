@@ -11,6 +11,7 @@ float64; checkpoints store float32 on disk.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -62,14 +63,6 @@ class ModelParams:
     @property
     def input_dim(self) -> int:
         return self.encoder[0][0].shape[0]
-
-    @property
-    def representation_dim(self) -> int:
-        return self.encoder[-1][0].shape[1]
-
-    @property
-    def projection_dim(self) -> int:
-        return self.projection[-1][0].shape[1]
 
     def named_arrays(self):
         for i, (w, b) in enumerate(self.encoder):
@@ -378,52 +371,51 @@ def train(dataset: Dataset, config: TrainConfig, metrics_path=None) -> TrainResu
     m, bsz = config.views, config.batch_size
     step_losses: list[float] = []
     step = 0
-    for epoch in range(config.epochs):
-        order = rng_shuffle.permutation(count)
-        for batch_index in range(steps_per_epoch):
-            image_rows = order[batch_index * bsz : (batch_index + 1) * bsz]
-            # row i * m + v is view v of image i, drawn in that order
-            views = dataio.augment_view(np.repeat(vectors[image_rows], m, axis=0), view_noise, rng_augment)
-            image_id = np.repeat(np.arange(bsz), m)
+    # one handle per run, closed also when a step raises
+    with contextlib.nullcontext() if metrics_path is None else open(metrics_path, "a", newline="") as metrics:
+        for epoch in range(config.epochs):
+            order = rng_shuffle.permutation(count)
+            for batch_index in range(steps_per_epoch):
+                image_rows = order[batch_index * bsz : (batch_index + 1) * bsz]
+                # row i * m + v is view v of image i, drawn in that order
+                views = dataio.augment_view(np.repeat(vectors[image_rows], m, axis=0), view_noise, rng_augment)
+                image_id = np.repeat(np.arange(bsz), m)
 
-            lr = cosine_warmup_lr(step, total_steps, warmup_steps, config.lr)
-            # overflow and invalid values run on silently; the step's own checks
-            # then name the failure (NumericError or TrainingDiverged)
-            with np.errstate(over="ignore", invalid="ignore"):
-                tape = dg.Tape()
-                enc_t = [(tape.variable(w), tape.variable(b)) for w, b in params.encoder]
-                proj_t = [(tape.variable(w), tape.variable(b)) for w, b in params.projection]
-                _, projections = _forward_core(enc_t, proj_t, views)
-                batch = batchpipe.ViewBatch(projections, image_id, m)
-                loss = batchpipe.batch_loss(
-                    batch,
-                    config.loss_kind,
-                    loss_params,
-                    num_negatives=config.num_negatives,
-                    stop_grad=config.stop_grad,
-                    preorder=config.preorder,
-                    random_negatives=config.random_negatives,
-                    infonce_top_n=config.infonce_top_n,
-                    rng=rng_negative,
-                )
-                loss_value = float(loss.data)
-                if not math.isfinite(loss_value):
-                    raise TrainingDiverged(step, loss_value)
-                gmap = dg.backward(tape, loss)
-                tensor_by_name = {}
-                for i, (tw, tb) in enumerate(enc_t):
-                    tensor_by_name[f"enc.{i}.weight"] = tw
-                    tensor_by_name[f"enc.{i}.bias"] = tb
-                for i, (tw, tb) in enumerate(proj_t):
-                    tensor_by_name[f"proj.{i}.weight"] = tw
-                    tensor_by_name[f"proj.{i}.bias"] = tb
-                grads = {name: gmap.grad(tensor_by_name[name]) for name, _ in params.named_arrays()}
-                sgd_step(params, grads, state, lr=lr)
-            step_losses.append(loss_value)
-            if metrics_path is not None:
-                dataio.metrics_append(
-                    metrics_path,
-                    {"epoch": epoch, "step": step, "loss": loss_value, "lr": lr},
-                )
-            step += 1
+                lr = cosine_warmup_lr(step, total_steps, warmup_steps, config.lr)
+                # overflow and invalid values run on silently; the step's own checks
+                # then name the failure (NumericError or TrainingDiverged)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    tape = dg.Tape()
+                    enc_t = [(tape.variable(w), tape.variable(b)) for w, b in params.encoder]
+                    proj_t = [(tape.variable(w), tape.variable(b)) for w, b in params.projection]
+                    _, projections = _forward_core(enc_t, proj_t, views)
+                    batch = batchpipe.ViewBatch(projections, image_id, m)
+                    loss = batchpipe.batch_loss(
+                        batch,
+                        config.loss_kind,
+                        loss_params,
+                        num_negatives=config.num_negatives,
+                        stop_grad=config.stop_grad,
+                        preorder=config.preorder,
+                        random_negatives=config.random_negatives,
+                        infonce_top_n=config.infonce_top_n,
+                        rng=rng_negative,
+                    )
+                    loss_value = float(loss.data)
+                    if not math.isfinite(loss_value):
+                        raise TrainingDiverged(step, loss_value)
+                    gmap = dg.backward(tape, loss)
+                    tensor_by_name = {}
+                    for i, (tw, tb) in enumerate(enc_t):
+                        tensor_by_name[f"enc.{i}.weight"] = tw
+                        tensor_by_name[f"enc.{i}.bias"] = tb
+                    for i, (tw, tb) in enumerate(proj_t):
+                        tensor_by_name[f"proj.{i}.weight"] = tw
+                        tensor_by_name[f"proj.{i}.bias"] = tb
+                    grads = {name: gmap.grad(tensor_by_name[name]) for name, _ in params.named_arrays()}
+                    sgd_step(params, grads, state, lr=lr)
+                step_losses.append(loss_value)
+                if metrics is not None:
+                    dataio.metrics_append(metrics, {"epoch": epoch, "step": step, "loss": loss_value, "lr": lr})
+                step += 1
     return TrainResult(params=params, opt_state=state, step_losses=step_losses, steps_per_epoch=steps_per_epoch)

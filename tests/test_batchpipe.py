@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -624,23 +626,31 @@ def test_selected_distances_gradient_matches_central_differences():
         assert report.passed, (views, count, random_negatives, preorder, report.max_rel_error)
 
 
-def _dense_selected_distances_vjp(node, g):
-    """The selected-distances rule as a dense product: the block's gradient
-    scattered into an (A, A) matrix G, plus G^T without stop-gradient, times
-    the unit rows."""
+def _gathered_selected_distances_vjp(node, g):
+    """The selected-distances rule as a gather: each anchor's selected unit
+    rows taken into an (A, width, D) array and contracted with its gradient
+    row, plus, without stop-gradient, the transposed pairs scattered into an
+    (A, A) matrix times the unit rows."""
     unit, norms, cols = node.attrs["unit"], node.attrs["norms"], node.attrs["cols"]
-    dense = np.zeros((unit.shape[0],) * 2)
-    dense[np.arange(unit.shape[0])[:, None], cols] = g
+    h = np.matmul(g[:, None, :], np.take(unit, cols, axis=0)).reshape(unit.shape)
     if not node.attrs["stop_grad"]:
-        dense += dense.T
-    h = -(dense @ unit)
+        scattered = np.zeros((unit.shape[0],) * 2)
+        scattered[cols, np.arange(unit.shape[0])[:, None]] = g
+        h += scattered @ unit
+    np.negative(h, out=h)
     h -= unit * np.sum(h * unit, axis=1, keepdims=True)
     return (h / norms,)
 
 
-def test_selected_distances_gathered_gradient_matches_the_dense_product():
+def test_selected_distances_dense_gradient_matches_the_gathered_product():
     rng = np.random.default_rng(66)
-    for views, images, count, random_negatives in ((2, 128, 10, False), (3, 7, 4, False), (2, 9, 5, True)):
+    for views, images, count, random_negatives, bound in (
+        (2, 128, 10, False, 1e-15),
+        (3, 7, 4, False, 1e-15),
+        (2, 9, 5, True, 1e-15),
+        # InfoNCE's full width, N = 254: measured 1.2e-15 here, at most 1.7e-15 over 40 seeds
+        (2, 128, 254, False, 3e-15),
+    ):
         raw = rng.normal(size=(views * images, 16))
         image_id = np.repeat(np.arange(images), views)
         for stop_grad in (True, False):
@@ -651,8 +661,29 @@ def test_selected_distances_gathered_gradient_matches_the_dense_product():
             )
             node = tape.nodes[-1]
             g = rng.normal(size=block.shape)
-            (got,), (expect,) = dg.VJP_RULES["selected_distances"](node, g), _dense_selected_distances_vjp(node, g)
-            assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect)), (views, count, stop_grad)
+            (got,), (expect,) = dg.VJP_RULES["selected_distances"](node, g), _gathered_selected_distances_vjp(node, g)
+            assert np.max(np.abs(got - expect)) <= bound * np.max(np.abs(expect)), (views, count, stop_grad)
+
+
+def test_selected_distances_gradient_never_gathers_the_selected_rows():
+    # one VJP at InfoNCE's full width: a gather of the selected unit rows
+    # alone is an (A, 255, D) array, 32 MiB here; the dense rule holds (A, A)
+    rng = np.random.default_rng(68)
+    raw = rng.normal(size=(256, 64))
+    image_id = np.repeat(np.arange(128), 2)
+    for stop_grad in (True, False):
+        tape = Tape()
+        block, _, _ = bp._selected_distances(bp.ViewBatch(tape.variable(raw), image_id, 2), 254, stop_grad, False,
+                                             True, None)
+        node = tape.nodes[-1]
+        g = rng.normal(size=block.shape)
+        tracemalloc.start()
+        try:
+            dg.VJP_RULES["selected_distances"](node, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (stop_grad, peak)
 
 
 def test_stop_grad_gives_exact_zero_rows_to_views_no_loss_anchors_on():

@@ -160,10 +160,19 @@ def test_gvec_trailing_bytes(tmp_path):
         dio.gvec_read(path)
 
 
+def _append_rows(path, *records):
+    with open(path, "a", newline="") as fh:
+        for record in records:
+            dio.metrics_append(fh, record)
+
+
 def test_metrics_append_header_and_rows(tmp_path):
     path = tmp_path / "metrics.csv"
-    dio.metrics_append(path, {"epoch": 0, "step": 0, "loss": np.log(2.0), "lr": 0.1})
-    dio.metrics_append(path, {"epoch": 0, "step": 1, "loss": 0.5, "lr": 0.2})
+    _append_rows(
+        path,
+        {"epoch": 0, "step": 0, "loss": np.log(2.0), "lr": 0.1},
+        {"epoch": 0, "step": 1, "loss": 0.5, "lr": 0.2},
+    )
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,step,loss,lr"
     assert len(lines) == 3
@@ -175,27 +184,30 @@ def test_metrics_append_header_and_rows(tmp_path):
 def test_metrics_append_writes_the_header_only_into_an_empty_file(tmp_path):
     row = {"epoch": 0, "step": 0, "loss": 1.0, "lr": 0.1}
     fresh = tmp_path / "fresh.csv"
-    for step in range(3):
-        dio.metrics_append(fresh, {**row, "step": step})
+    with open(fresh, "a", newline="") as fh:
+        for step in range(3):
+            dio.metrics_append(fh, {**row, "step": step})
+            # each row is flushed: the file holds it before the handle closes
+            assert len(fresh.read_text().splitlines()) == step + 2
     assert fresh.read_text().splitlines() == ["epoch,step,loss,lr", "0,0,1,0.1", "0,1,1,0.1", "0,2,1,0.1"]
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    dio.metrics_append(empty, row)
+    _append_rows(empty, row)
     assert empty.read_text().splitlines() == ["epoch,step,loss,lr", "0,0,1,0.1"]
     started = tmp_path / "started.csv"
     started.write_text("a,b\n")
-    dio.metrics_append(started, row)
+    _append_rows(started, row)
     assert started.read_text().splitlines() == ["a,b", "0,0,1,0.1"]
 
 
 def test_metrics_append_requires_fields(tmp_path):
     with pytest.raises(ValueError):
-        dio.metrics_append(tmp_path / "m.csv", {"epoch": 0, "loss": 1.0, "lr": 0.1})
+        _append_rows(tmp_path / "m.csv", {"epoch": 0, "loss": 1.0, "lr": 0.1})
 
 
 def test_metrics_append_extra_fields_sorted(tmp_path):
     path = tmp_path / "metrics.csv"
-    dio.metrics_append(path, {"epoch": 0, "step": 0, "loss": 1.0, "lr": 0.1, "knn": 0.5, "acc": 0.2})
+    _append_rows(path, {"epoch": 0, "step": 0, "loss": 1.0, "lr": 0.1, "knn": 0.5, "acc": 0.2})
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,step,loss,lr,acc,knn"
 
