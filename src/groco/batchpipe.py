@@ -11,9 +11,8 @@ default) lives in that gradient: the other views count as constants, so the
 loss gradient reaches only each anchor's own projection.
 
 Each block row is [positives | negatives], each group ascending when
-pre-ordered, which is the row the group-ordering loss sorts: that loss takes
-the block whole, in one call. InfoNCE and triplet split it into the two
-groups first.
+pre-ordered, which is the row the group-ordering loss sorts. Every loss
+takes the block whole with the positive count, in one call.
 
 Projections may be a plain array (losses come back as floats) or a
 `diffgrad.Tensor` (losses are recorded scalars).
@@ -221,17 +220,6 @@ def _selected_distances(
     return block, pos, neg
 
 
-def _split(block, num_positives: int):
-    """The positive and the negative columns of every block row, one group
-    row per anchor."""
-    rows, width = block.shape
-    starts = width * np.arange(rows)[:, None]
-    return (
-        dg.index_select(block, starts + np.arange(num_positives)),
-        dg.index_select(block, starts + np.arange(num_positives, width)),
-    )
-
-
 def _check_preordered(block, num_positives: int) -> None:
     """Reject a block row whose positive or negative group descends; the
     step from the last positive to the first negative may go either way."""
@@ -286,7 +274,6 @@ def batch_loss(
         if preorder:
             _check_preordered(block, num_positives)
         return losses.group_loss_from_concat(block, num_positives, params.beta)
-    d_pos, d_neg = _split(block, num_positives)
     if loss_kind == "infonce":
-        return losses.infonce_loss(d_pos, d_neg, params)
-    return losses.triplet_loss(d_pos, d_neg, params)
+        return losses.infonce_from_concat(block, num_positives, params)
+    return losses.triplet_from_concat(block, num_positives, params)

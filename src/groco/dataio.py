@@ -8,6 +8,7 @@ datasets, views, and splits bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -34,16 +35,21 @@ class GvecFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Labeled vectors (labels optional, used only for evaluation)."""
+    """Labeled vectors (labels optional, used only for evaluation). Every
+    entry of `vectors` must be finite after the cast to float32."""
 
     vectors: np.ndarray  # (count, dim) float32
     labels: np.ndarray | None = None  # (count,) uint32 class ids 0..C-1
     provenance: str = ""
 
     def __post_init__(self):
-        self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
+        with np.errstate(over="ignore"):  # an entry past the float32 range becomes inf, rejected below
+            self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
         if self.vectors.ndim != 2 or self.vectors.shape[0] < 1:
             raise ValueError(f"vectors must be (count >= 1, dim), got {self.vectors.shape}")
+        bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
+        if bad.size:
+            raise ValueError(f"vectors must be finite, row {int(bad[0])} is not")
         if self.labels is not None:
             self.labels = np.ascontiguousarray(self.labels, dtype=np.uint32)
             if self.labels.shape != (self.vectors.shape[0],):
@@ -74,8 +80,10 @@ class SynthConfig:
     def __post_init__(self):
         if self.clusters < 1 or self.dim < 1 or self.per_cluster < 1:
             raise ValueError("clusters, dim, per_cluster must be positive")
-        if self.center_scale <= 0 or self.inst_noise < 0:
-            raise ValueError("center_scale must be positive; inst_noise non-negative")
+        if not (math.isfinite(self.center_scale) and self.center_scale > 0):
+            raise ValueError(f"center_scale must be finite and positive, got {self.center_scale}")
+        if not (math.isfinite(self.inst_noise) and self.inst_noise >= 0):
+            raise ValueError(f"inst_noise must be finite and >= 0, got {self.inst_noise}")
 
 
 def synth_generate(config: SynthConfig) -> Dataset:
@@ -95,13 +103,14 @@ def synth_generate(config: SynthConfig) -> Dataset:
 def check_view_noise(view_noise, dim: int | None = None):
     """Validate a view-noise level: one scalar standard deviation for every
     coordinate, or a 1-D sequence with one entry per coordinate. Entries must
-    be >= 0; when `dim` is given a sequence must have exactly `dim` entries.
+    be finite and >= 0; when `dim` is given a sequence must have exactly `dim`
+    entries.
     Returns the scalar as a float or the sequence as a float64 array."""
     sigma = np.asarray(view_noise, dtype=np.float64)
     if sigma.ndim > 1:
         raise ValueError(f"view_noise must be a scalar or 1-D sequence, got shape {sigma.shape}")
-    if not np.all(sigma >= 0):
-        raise ValueError(f"view_noise entries must be >= 0, got {view_noise}")
+    if not (np.all(np.isfinite(sigma)) and np.all(sigma >= 0)):
+        raise ValueError(f"view_noise entries must be finite and >= 0, got {view_noise}")
     if sigma.ndim == 0:
         return float(sigma)
     if dim is not None and sigma.shape[0] != dim:

@@ -1,22 +1,23 @@
 """Reverse-mode differentiation on a flat tape of numpy-backed tensors.
 
-The op set is deliberately small: the generic ops that the losses and the
-optimization-dynamics experiment record, and a small MLP's layers, one
-`affine` op each, or one `affine_pair` op for two layers with no ReLU
-between them. Every op function here dispatches on its arguments: given
-plain numpy arrays (or floats) it computes the forward value directly,
-given a `Tensor` it records a node on the owning `Tape`. Algorithm code
-elsewhere in the package is therefore written once and runs in both
-"plain" and "recorded" mode.
+The op set is deliberately small: a small MLP's layers, one `affine` op
+each, or one `affine_pair` op for two layers with no ReLU between them;
+`matmul`, which applies a relaxed permutation to its values; and `scale`,
+`concat` and `index_select`, which negate, join and reorder distance lists.
+Every op function here dispatches on its arguments: given plain numpy
+arrays (or floats) it computes the forward value directly, given a `Tensor`
+it records a node on the owning `Tape`. Algorithm code elsewhere in the
+package is therefore written once and runs in both "plain" and "recorded"
+mode. `Tensor` has no arithmetic operators: every recorded op is a call.
 
 Gradients come from `backward(tape, loss)`, which replays the tape in
 reverse, applying one vector-Jacobian product rule per node. The rules live
 in the module-level `VJP_RULES` table so tests can install a corrupted rule
 as a negative control. An op whose forward lives in another module of the
 package (the relaxed sorting network in `sortcore`, the cosine distances
-of the selected groups in `batchpipe`, the clamped binary cross-entropy in
-`losses`) records itself with `Tape._append` and adds its rule to this
-table beside its forward.
+of the selected groups in `batchpipe`, the clamped binary cross-entropy and
+the InfoNCE and triplet losses in `losses`) records itself with
+`Tape._append` and adds its rule to this table beside its forward.
 """
 
 from __future__ import annotations
@@ -35,15 +36,9 @@ __all__ = [
     "VJP_RULES",
     "backward",
     "grad_check",
-    "add",
-    "sub",
-    "mul",
     "matmul",
     "affine",
     "affine_pair",
-    "log",
-    "exp",
-    "clamp",
     "scale",
     "concat",
     "index_select",
@@ -51,8 +46,8 @@ __all__ = [
 
 
 class NumericError(ArithmeticError):
-    """Raised when an operation hits an invalid numeric domain (non-positive
-    log input, zero-norm vector, non-finite evaluation)."""
+    """Raised when an operation hits an invalid numeric domain (zero-norm
+    vector, non-finite evaluation)."""
 
 
 def _as_array(x) -> np.ndarray:
@@ -63,12 +58,15 @@ class Tensor:
     """Immutable float64 value bound to a tape.
 
     `data` is row-major and write-protected after construction; reuse across
-    threads is safe. Arithmetic operators record onto the owning tape.
+    threads is safe. Ops record onto the owning tape through the op
+    functions; there are no arithmetic operators, so `Tensor * 2.0` and
+    `ndarray + Tensor` raise `TypeError`.
     """
 
     __slots__ = ("data", "tape", "tid")
 
-    # Keep numpy from consuming `ndarray <op> Tensor`; we want __r*__ to run.
+    # Keep numpy from wrapping a Tensor into an object array in
+    # `ndarray <op> Tensor`: the expression fails at once with TypeError.
     __array_ufunc__ = None
 
     def __init__(self, data: np.ndarray, tape: "Tape", tid: int):
@@ -90,33 +88,6 @@ class Tensor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(tid={self.tid}, shape={self.shape})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 class _Node:
@@ -175,52 +146,11 @@ def _find_tape(*args) -> Tape | None:
     for a in args:
         if isinstance(a, Tensor):
             return a.tape
-        if isinstance(a, (list, tuple)):
-            t = _find_tape(*a)
-            if t is not None:
-                return t
     return None
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce an output gradient back to the shape of a broadcast input."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 # ---------------------------------------------------------------------------
 # op forwards
-
-
-def add(a, b):
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return np.add(_as_array(a), _as_array(b))
-    tape = _find_tape(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    return tape._append("add", (a, b), np.add(a.data, b.data))
-
-
-def sub(a, b):
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return np.subtract(_as_array(a), _as_array(b))
-    tape = _find_tape(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    return tape._append("sub", (a, b), np.subtract(a.data, b.data))
-
-
-def mul(a, b):
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return np.multiply(_as_array(a), _as_array(b))
-    tape = _find_tape(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    return tape._append("mul", (a, b), np.multiply(a.data, b.data))
 
 
 def _matmul_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -287,37 +217,6 @@ def affine_pair(x, w1, b1, w2, b2, relu: bool):
     return tape._append("affine_pair", inputs, out, x=xd, w=w, relu=bool(relu))
 
 
-def log(x):
-    if not isinstance(x, Tensor):
-        x = _as_array(x)
-        if np.any(x <= 0.0):
-            raise NumericError("log of non-positive value")
-        return np.log(x)
-    if np.any(x.data <= 0.0):
-        raise NumericError(f"log of non-positive value at node {len(x.tape.nodes)}")
-    return x.tape._append("log", (x,), np.log(x.data))
-
-
-def exp(x):
-    if not isinstance(x, Tensor):
-        return np.exp(_as_array(x))
-    return x.tape._append("exp", (x,), np.exp(x.data))
-
-
-def sum(x):  # noqa: A001 - mirrors the op name; full reduction to a scalar
-    if not isinstance(x, Tensor):
-        return np.sum(_as_array(x))
-    return x.tape._append("sum", (x,), np.sum(x.data))
-
-
-def clamp(x, lo=None, hi=None):
-    if lo is None and hi is None:
-        raise ValueError("clamp requires at least one bound")
-    if not isinstance(x, Tensor):
-        return np.clip(_as_array(x), lo, hi)
-    return x.tape._append("clamp", (x,), np.clip(x.data, lo, hi), lo=lo, hi=hi)
-
-
 def scale(x, factor):
     factor = float(factor)
     if not isinstance(x, Tensor):
@@ -361,21 +260,6 @@ def index_select(x, indices):
 # vector-Jacobian product rules
 
 
-def _vjp_add(node, g):
-    a, b = node.inputs
-    return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
-
-
-def _vjp_sub(node, g):
-    a, b = node.inputs
-    return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
-
-
-def _vjp_mul(node, g):
-    a, b = node.inputs
-    return (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape))
-
-
 def _vjp_matmul(node, g):
     a, b = node.inputs
     ad, bd = a.data, b.data
@@ -414,29 +298,6 @@ def _vjp_affine_pair(node, g):
     return (g @ node.attrs["w"].T, *grads)
 
 
-def _vjp_log(node, g):
-    return (g / node.inputs[0].data,)
-
-
-def _vjp_exp(node, g):
-    return (g * node.output.data,)
-
-
-def _vjp_sum(node, g):
-    return (np.full(node.inputs[0].shape, float(g)),)
-
-
-def _vjp_clamp(node, g):
-    x = node.inputs[0].data
-    lo, hi = node.attrs["lo"], node.attrs["hi"]
-    mask = np.ones_like(x, dtype=bool)
-    if lo is not None:
-        mask &= x > lo
-    if hi is not None:
-        mask &= x < hi
-    return (g * mask,)
-
-
 def _vjp_scale(node, g):
     return (g * node.attrs["factor"],)
 
@@ -458,16 +319,9 @@ def _vjp_index_select(node, g):
 
 
 VJP_RULES = {
-    "add": _vjp_add,
-    "sub": _vjp_sub,
-    "mul": _vjp_mul,
     "matmul": _vjp_matmul,
     "affine": _vjp_affine,
     "affine_pair": _vjp_affine_pair,
-    "log": _vjp_log,
-    "exp": _vjp_exp,
-    "sum": _vjp_sum,
-    "clamp": _vjp_clamp,
     "scale": _vjp_scale,
     "concat": _vjp_concat,
     "index_select": _vjp_index_select,

@@ -266,7 +266,6 @@ def toy_dynamics(loss_kind: str, init_similarities, steps: int, lr: float, param
         raise ValueError("steps must be >= 0")
     if not (math.isfinite(lr) and lr >= 0):
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
-    neg_count = sims.size - 1
     history = [sims.copy()]
     for _ in range(steps):
         tape = dg.Tape()
@@ -275,9 +274,7 @@ def toy_dynamics(loss_kind: str, init_similarities, steps: int, lr: float, param
         if loss_kind == "groco":
             loss = losses.groco_from_raw_distances(d, 1, params.beta)
         else:
-            d_pos = dg.index_select(d, np.array([0], dtype=np.intp))
-            d_neg = dg.index_select(d, 1 + np.arange(neg_count, dtype=np.intp))
-            loss = losses.infonce_loss(d_pos, d_neg, params)
+            loss = losses.infonce_from_concat(d, 1, params)
         grad = dg.backward(tape, loss).grad(s)
         sims = sims - lr * grad
         history.append(sims.copy())

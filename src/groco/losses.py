@@ -6,6 +6,14 @@ case the result is the mean of the per-anchor losses. Inputs may be plain
 arrays (the result is a float) or `diffgrad.Tensor`s (the result is a
 scalar tensor recorded on the input tape, so gradients flow back to every
 distance).
+
+Each contrastive loss also takes the [positives | negatives] rows whole,
+with the positive count: `group_loss_from_concat`, `infonce_from_concat`
+and `triplet_from_concat`, which the batch pipeline calls on its selected
+block. The per-group forms join their groups with one `concat` and call the
+same code. On a tape, InfoNCE and triplet each record one op with a
+hand-written gradient, and the group-ordering loss two: the sorting
+network's border mass and the clamped binary cross-entropy.
 """
 
 from __future__ import annotations
@@ -32,7 +40,9 @@ __all__ = [
     "groco_closed_form_1v1",
     "sorting_supervision_loss",
     "infonce_loss",
+    "infonce_from_concat",
     "triplet_loss",
+    "triplet_from_concat",
 ]
 
 # Clamp for probabilities inside binary cross-entropy. Never active on
@@ -179,6 +189,14 @@ def _check_split(arr: np.ndarray, num_positives: int) -> int:
     return k
 
 
+def _from_concat(loss, d, num_positives: int, setting: float):
+    """`loss(d, k, setting)` on checked [positives | negatives] rows: finite,
+    with 1 <= k < the row width."""
+    arr = _check_group("distances", d)
+    k = _check_split(arr, num_positives)
+    return _result(loss(d if isinstance(d, Tensor) else arr, k, setting))
+
+
 def group_loss_from_concat(d, num_positives: int, beta: float):
     """Group-ordering loss over already concatenated distance lists whose
     first `num_positives` entries are the positive group.
@@ -189,9 +207,7 @@ def group_loss_from_concat(d, num_positives: int, beta: float):
     it, and without it the unordered groups go to the sorting network as
     they are.
     """
-    arr = _check_group("distances", d)
-    k = _check_split(arr, num_positives)
-    return _result(_group_loss(d if isinstance(d, Tensor) else arr, k, beta))
+    return _from_concat(_group_loss, d, num_positives, beta)
 
 
 def groco_loss(d_pos, d_neg, params: GroCoParams):
@@ -271,29 +287,112 @@ def sorting_supervision_loss(p, q):
     return _result(_bce_mean(p, q, float(n * n)))
 
 
+def _infonce(d, num_positives: int, tau: float):
+    """Mean InfoNCE loss over the rows of `d`, (n,) or (A, n), whose first
+    `num_positives` entries are the positives: with logits z = -d / tau,
+    each positive's term is the log-sum-exp of itself and its row's
+    negatives, minus itself. Every log-sum-exp is shifted by the larger of
+    its positive's logit and the row's largest negative logit, so no
+    exponent is positive and each shifted sum is at least 1. A row's
+    negatives are summed as a product with a ones column, and the gradient
+    keeps a fixed order of operations, so losses and gradients are bitwise
+    those of the generic-op chain that the tests keep as the reference.
+
+    A `diffgrad.Tensor` input is recorded as one `infonce` op, which keeps
+    the shifted exponentials and sums for the gradient."""
+    inv_tau = -1.0 / tau
+    z = _raw(d) * inv_tau
+    zp, zn = z[..., :num_positives], z[..., num_positives:]
+    top = np.max(zn, axis=-1, keepdims=True)
+    shift = np.maximum(zp, top)
+    neg_exp = np.exp(zn - top)
+    top_exp = np.exp(top - shift)
+    pos_exp = np.exp(zp - shift)
+    sums = pos_exp + (neg_exp @ np.ones((zn.shape[-1], 1))) * top_exp
+    factor = 1.0 / zp.size
+    loss = np.sum(np.log(sums) + shift - zp) * factor
+    if isinstance(d, Tensor):
+        return d.tape._append("infonce", (d,), loss, pos_exp=pos_exp, neg_exp=neg_exp, top_exp=top_exp,
+                              sums=sums, factor=factor, inv_tau=inv_tau)
+    return loss
+
+
+def _vjp_infonce(node, g):
+    """With c = g / (A·k) and w = c / s for each positive's shifted sum s,
+    the gradient on z is w·e^(z_p - shift) - c on a positive, c times its
+    softmax weight minus 1, and on a negative e^(z_n - top) times the sum of
+    w·e^(top - shift) over its row's positives, the negative's weights
+    summed; d z / d d is -1 / tau. Each product and sum runs in the order of
+    the reference chain's rules."""
+    attrs = node.attrs
+    c = float(g * attrs["factor"])
+    w = c / attrs["sums"]
+    gp = w * attrs["pos_exp"] - c
+    gn = np.sum(w * attrs["top_exp"], axis=-1, keepdims=True) * attrs["neg_exp"]
+    return (np.concatenate([gp, gn], axis=-1) * attrs["inv_tau"],)
+
+
+dg.VJP_RULES["infonce"] = _vjp_infonce
+
+
+def _triplet(d, num_positives: int, margin: float):
+    """Mean triplet hinge over all positive/negative pairs of the rows of
+    `d`, (n,) or (A, n), whose first `num_positives` entries are the
+    positives; at `margin=inf` the raw differences d_p - d_n are averaged
+    without clipping.
+
+    A `diffgrad.Tensor` input is recorded as one `triplet` op, which keeps
+    the pairs whose hinge is active: d_p - d_n + margin > 0, strictly, or
+    every pair in the unbounded mode."""
+    raw = _raw(d)
+    diff = raw[..., :num_positives, None] - raw[..., None, num_positives:]
+    if math.isinf(margin):
+        terms, active = diff, np.ones(diff.shape, dtype=bool)
+    else:
+        terms = diff + margin
+        active = terms > 0.0
+        np.clip(terms, 0.0, None, out=terms)
+    factor = 1.0 / diff.size
+    loss = np.sum(terms) * factor
+    if isinstance(d, Tensor):
+        return d.tape._append("triplet", (d,), loss, active=active, factor=factor)
+    return loss
+
+
+def _vjp_triplet(node, g):
+    """Each active pair adds +1 to its positive and -1 to its negative,
+    over the number of pairs."""
+    active = node.attrs["active"]
+    counts = np.concatenate([np.sum(active, axis=-1), -np.sum(active, axis=-2)], axis=-1)
+    return (counts * (float(g) * node.attrs["factor"]),)
+
+
+dg.VJP_RULES["triplet"] = _vjp_triplet
+
+
+def infonce_from_concat(d, num_positives: int, params: InfoNCEParams):
+    """InfoNCE loss over already concatenated [positives | negatives]
+    distance lists whose first `num_positives` entries are the positives.
+    The batch pipeline and the optimization-dynamics experiment call it."""
+    return _from_concat(_infonce, d, num_positives, params.tau)
+
+
+def triplet_from_concat(d, num_positives: int, params: TripletParams):
+    """Triplet loss over already concatenated [positives | negatives]
+    distance lists whose first `num_positives` entries are the positives.
+    The batch pipeline calls it."""
+    return _from_concat(_triplet, d, num_positives, params.margin)
+
+
 def infonce_loss(d_pos, d_neg, params: InfoNCEParams):
     """Contrastive loss: each positive is contrasted against all negatives of
-    its row, averaged over positives. Logits are shifted by their maximum
-    before exponentiation."""
-    pos, neg = _check_pair(d_pos, d_neg)
-    inv_tau = -1.0 / params.tau
-    zp = dg.scale(d_pos, inv_tau)
-    zn = dg.scale(d_neg, inv_tau)
-    top = np.max(neg * inv_tau, axis=-1, keepdims=True)  # per row, constant
-    shift = np.maximum(pos * inv_tau, top)  # per positive, constant
-    neg_sum = dg.matmul(dg.exp(zn - top), np.ones((neg.shape[-1], 1)))  # per row, >= 1
-    lse = dg.log(dg.exp(zp - shift) + neg_sum * np.exp(top - shift)) + shift
-    return _result(dg.scale(dg.sum(lse - zp), 1.0 / pos.size))
+    its row, averaged over positives."""
+    pos, _ = _check_pair(d_pos, d_neg)
+    return _result(_infonce(dg.concat([d_pos, d_neg]), pos.shape[-1], params.tau))
 
 
 def triplet_loss(d_pos, d_neg, params: TripletParams):
     """Mean hinge over all positive/negative pairs of each row; in unbounded
     mode the raw differences are averaged without clipping."""
-    pos, neg = _check_pair(d_pos, d_neg)
-    k, m = pos.shape[-1], neg.shape[-1]
-    rep = np.repeat(np.arange(pos.size).reshape(pos.shape), m, axis=-1)
-    tile = np.tile(np.arange(neg.size).reshape(neg.shape), k)
-    diff = dg.index_select(d_pos, rep) - dg.index_select(d_neg, tile)
-    if not params.unbounded:
-        diff = dg.clamp(diff + params.margin, lo=0.0)
-    return _result(dg.scale(dg.sum(diff), 1.0 / (pos.size * m)))
+    pos, _ = _check_pair(d_pos, d_neg)
+    return _result(_triplet(dg.concat([d_pos, d_neg]), pos.shape[-1], params.margin))

@@ -602,8 +602,9 @@ def test_selected_distances_match_the_dense_chain(monkeypatch):
                         assert np.max(np.abs(g_got - g_expect)) <= 1e-14 * np.max(np.abs(g_expect)), case
 
 
-def test_selected_distances_gradient_matches_central_differences():
+def test_selected_distances_gradient_matches_central_differences(monkeypatch):
     # without stop-gradient the op's gradient is the derivative of its output
+    tapeops.install(monkeypatch)
     rng = np.random.default_rng(63)
     for views, images, count, random_negatives, preorder in (
         (2, 4, 3, False, True),
@@ -620,7 +621,7 @@ def test_selected_distances_gradient_matches_central_differences():
             block, _, _ = bp._selected_distances(
                 bp.ViewBatch(x, image_id, views), count, False, random_negatives, preorder, draws
             )
-            return dg.sum(dg.mul(block, weights))
+            return tapeops.weighted_sum(block, weights)
 
         report = dg.grad_check(fn, raw, h=1e-6, tol=1e-6)
         assert report.passed, (views, count, random_negatives, preorder, report.max_rel_error)
@@ -686,7 +687,8 @@ def test_selected_distances_gradient_never_gathers_the_selected_rows():
         assert peak < 2 * 2**20, (stop_grad, peak)
 
 
-def test_stop_grad_gives_exact_zero_rows_to_views_no_loss_anchors_on():
+def test_stop_grad_gives_exact_zero_rows_to_views_no_loss_anchors_on(monkeypatch):
+    tapeops.install(monkeypatch)
     rng = np.random.default_rng(65)
     raw = rng.normal(size=(8, 4))
     image_id = np.repeat(np.arange(4), 2)
@@ -696,7 +698,7 @@ def test_stop_grad_gives_exact_zero_rows_to_views_no_loss_anchors_on():
         batch = bp.ViewBatch(tape.variable(raw), image_id, 2)
         block, pos, neg = bp._selected_distances(batch, 3, stop_grad, False, True, None)
         rows = block.shape[1] * anchors[:, None] + np.arange(block.shape[1])
-        loss = dg.sum(dg.mul(dg.index_select(block, rows), rng.uniform(0.5, 1.0, rows.shape)))
+        loss = tapeops.weighted_sum(dg.index_select(block, rows), rng.uniform(0.5, 1.0, rows.shape))
         grads = dg.backward(tape, loss).grad(batch.projections)
         touched = set(np.flatnonzero(np.any(grads != 0.0, axis=1)).tolist())
         if stop_grad:

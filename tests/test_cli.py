@@ -356,6 +356,48 @@ def test_train_non_finite_or_non_positive_lr_is_usage_error(lr, tmp_path, capsys
     assert not (tmp_path / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag, message", [
+    ("--center-scale", "center_scale must be finite and positive"),
+    ("--inst-noise", "inst_noise must be finite and >= 0"),
+    ("--view-noise", "view_noise entries must be finite and >= 0"),
+], ids=["center-scale", "inst-noise", "view-noise"])
+def test_train_non_finite_synth_or_view_noise_is_usage_error(flag, message, value, tmp_path, capsys):
+    # each but --view-noise nan used to exit 3 at step 0, with a numeric
+    # failure for view 0
+    rc = gcli.main(_small_train_args(tmp_path, extra=[f"{flag}={value}"]))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_gvec_dataset_with_a_nan_is_usage_error(command, tmp_path, capsys):
+    # train used to exit 3 at step 0, with a numeric failure for view 8;
+    # eval exited 2 only once the embeddings were checked
+    import groco.model as md
+
+    ds = dio.synth_generate(dio.SynthConfig(clusters=3, dim=8, per_cluster=16, seed=2))
+    dio.gvec_write(ds, tmp_path / "data.gvec")
+    blob = bytearray((tmp_path / "data.gvec").read_bytes())
+    offset = dio._HEADER.size + 4 * (8 * ds.dim + 3)  # row 8, column 3
+    blob[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    (tmp_path / "nan.gvec").write_bytes(bytes(blob))
+    if command == "train":
+        argv = ["train", "--data", str(tmp_path / "nan.gvec"), "--epochs", "2", "--batch-size", "8", "--neg", "4",
+                "--ckpt", str(tmp_path / "model.ckpt")]
+    else:
+        params = md.init_params(8, (8, 8), (4, 4), seed=0)
+        md.checkpoint_save(params, md.init_optimizer(params), tmp_path / "model.ckpt")
+        argv = ["eval", "--ckpt", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "nan.gvec"), "--seed", "1"]
+    rc = gcli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "vectors must be finite, row 8 is not" in captured.err
+    assert "knn" not in captured.out
+    assert command == "eval" or not (tmp_path / "model.ckpt").exists()
+
+
 def test_nan_loss_exits_3_with_step(tmp_path, monkeypatch, capsys):
     import groco.batchpipe as bp
     import groco.model as md

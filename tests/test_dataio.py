@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,11 @@ def test_dataset_validation():
         Dataset(np.ones((0, 3), dtype=np.float32))
     with pytest.raises(ValueError):
         Dataset(np.ones((2, 3), dtype=np.float32), np.array([1], dtype=np.uint32))
+    for bad in (np.nan, -np.inf, 1e39):  # 1e39 overflows float32
+        vectors = np.ones((3, 2))
+        vectors[1, 0] = bad
+        with pytest.raises(ValueError, match="vectors must be finite, row 1 is not"):
+            Dataset(vectors)
 
 
 def test_synth_config_validation():
@@ -236,3 +243,11 @@ def test_synth_config_validation():
         SynthConfig(inst_noise=-0.1)
     with pytest.raises(ValueError):
         SynthConfig(center_scale=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="center_scale must be finite"):
+            SynthConfig(center_scale=bad)
+        with pytest.raises(ValueError, match="inst_noise must be finite"):
+            SynthConfig(inst_noise=bad)
+        for view_noise in (bad, [0.5, bad]):
+            with pytest.raises(ValueError, match="view_noise entries must be finite"):
+                dio.check_view_noise(view_noise)

@@ -8,6 +8,7 @@ from groco import losses as ls
 from groco import sortcore as sc
 from groco.losses import GroCoParams, InfoNCEParams, TripletParams
 
+import tapeops
 from oracles import (
     oracle_bce,
     oracle_diff_sort,
@@ -257,11 +258,11 @@ def test_taped_losses_record_one_bce_op():
 
 
 def _bce_chain(p, targets, denom):
-    """The clamped BCE as a chain of public ops: the reference for the one
-    `bce_mean` op."""
-    pt = dg.clamp(p, ls.BCE_EPSILON, 1.0 - ls.BCE_EPSILON)
-    ll = targets * dg.log(pt) + (1.0 - targets) * dg.log(1.0 - pt)
-    return dg.scale(dg.sum(ll), -1.0 / denom)
+    """The clamped BCE as a chain of generic ops: the reference for the one
+    `bce_mean` op. The caller installs the `tapeops` rules."""
+    pt = tapeops.clamp(p, ls.BCE_EPSILON, 1.0 - ls.BCE_EPSILON)
+    ll = tapeops.add(tapeops.mul(targets, tapeops.log(pt)), tapeops.mul(1.0 - targets, tapeops.log(tapeops.sub(1.0, pt))))
+    return dg.scale(tapeops.sum(ll), -1.0 / denom)
 
 
 def _bce_cases():
@@ -284,7 +285,8 @@ def _bce_cases():
     return cases
 
 
-def test_bce_mean_equals_the_op_chain():
+def test_bce_mean_equals_the_op_chain(monkeypatch):
+    tapeops.install(monkeypatch)
     clamped = 0
     for p, targets, denom in _bce_cases():
         results = []
@@ -301,9 +303,10 @@ def test_bce_mean_equals_the_op_chain():
     assert clamped > 0
 
 
-def test_bce_mean_is_bitwise_the_op_chain_at_the_clamp_bounds():
+def test_bce_mean_is_bitwise_the_op_chain_at_the_clamp_bounds(monkeypatch):
     # 0/1 targets, the only ones the losses pass, against p exactly 0 and 1,
     # at both bounds, just inside them and past them
+    tapeops.install(monkeypatch)
     eps = ls.BCE_EPSILON
     p = np.array([0.0, eps / 2, eps, 2 * eps, 0.5, 1.0 - 2 * eps, 1.0 - eps, 1.0 - eps / 2, 1.0, -0.25, 1.25])
     p = np.stack([p, p[::-1]])
@@ -403,6 +406,142 @@ def test_triplet_matches_pairwise_oracle():
             d_neg = rng.uniform(-1, 1, int(rng.integers(1, 6)))
             got = ls.triplet_loss(d_pos, d_neg, TripletParams(margin=margin))
             assert abs(got - oracle_triplet(d_pos, d_neg, margin)) < 1e-12
+
+
+def _infonce_chain(d_pos, d_neg, params):
+    """InfoNCE as the chain of generic ops it was recorded as before it
+    became one `infonce` op: the reference for that op's gradient. The
+    caller installs the `tapeops` rules."""
+    pos, neg = d_pos.data, d_neg.data
+    inv_tau = -1.0 / params.tau
+    zp = dg.scale(d_pos, inv_tau)
+    zn = dg.scale(d_neg, inv_tau)
+    top = np.max(neg * inv_tau, axis=-1, keepdims=True)  # per row, constant
+    shift = np.maximum(pos * inv_tau, top)  # per positive, constant
+    neg_sum = dg.matmul(tapeops.exp(tapeops.sub(zn, top)), np.ones((neg.shape[-1], 1)))
+    shifted = tapeops.add(tapeops.exp(tapeops.sub(zp, shift)), tapeops.mul(neg_sum, np.exp(top - shift)))
+    lse = tapeops.add(tapeops.log(shifted), shift)
+    return dg.scale(tapeops.sum(tapeops.sub(lse, zp)), 1.0 / pos.size)
+
+
+def _triplet_chain(d_pos, d_neg, params):
+    """Triplet as the chain of generic ops it was recorded as before it
+    became one `triplet` op: one gather each for the pairs' positives and
+    negatives, their difference, and the hinge as a clamp."""
+    pos, neg = d_pos.data, d_neg.data
+    k, m = pos.shape[-1], neg.shape[-1]
+    rep = np.repeat(np.arange(pos.size).reshape(pos.shape), m, axis=-1)
+    tile = np.tile(np.arange(neg.size).reshape(neg.shape), k)
+    diff = tapeops.sub(dg.index_select(d_pos, rep), dg.index_select(d_neg, tile))
+    if not params.unbounded:
+        diff = tapeops.clamp(tapeops.add(diff, params.margin), lo=0.0)
+    return dg.scale(tapeops.sum(diff), 1.0 / (pos.size * m))
+
+
+def _baseline_cases():
+    """(d_pos, d_neg) pairs: 1-D groups, (A, k) and (A, m) rows, InfoNCE's
+    full width at a default step (A = 256, 1 positive, 254 negatives), and
+    rows with ties."""
+    rng = np.random.default_rng(36)
+    cases = [(rng.uniform(-1, 1, k), rng.uniform(-1, 1, m)) for k, m in ((1, 1), (1, 6), (3, 4))]
+    cases += [(rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 7))), (rng.uniform(-1, 1, (256, 1)),
+              rng.uniform(-1, 1, (256, 254)))]
+    tied = rng.integers(-2, 3, (8, 6)) / 2.0
+    cases.append((tied[:, :2], tied[:, 2:]))
+    return cases
+
+
+def _oracle_rows(oracle, d_pos, d_neg, param):
+    if d_pos.ndim == 1:
+        return oracle(d_pos, d_neg, param)
+    return float(np.mean([oracle(p, n, param) for p, n in zip(d_pos, d_neg)]))
+
+
+@pytest.mark.parametrize("kind", ["infonce", "triplet", "triplet_unbounded"])
+def test_baseline_op_matches_the_oracle_and_the_op_chain(kind, monkeypatch):
+    # the one-op loss against the loop oracle at 1e-12, and its value and
+    # gradient against the generic-op chain it replaces, to within 1e-13 of
+    # the chain gradient's largest entry; InfoNCE's op keeps the chain's
+    # order of operations, so it is bitwise the chain. The tau 0.01 rows put
+    # logits at +-100, where the naive oracle still sums exactly enough
+    tapeops.install(monkeypatch)
+    if kind == "infonce":
+        settings = [(InfoNCEParams(tau=tau), tau) for tau in (0.1, 0.7, 0.01)]
+        loss, chain, oracle = ls.infonce_loss, _infonce_chain, oracle_infonce
+    else:
+        margins = (math.inf,) if kind == "triplet_unbounded" else (0.3, 0.8)
+        settings = [(TripletParams(margin=margin), margin) for margin in margins]
+        loss, chain, oracle = ls.triplet_loss, _triplet_chain, oracle_triplet
+    for params, param in settings:
+        for d_pos, d_neg in _baseline_cases():
+            expect = _oracle_rows(oracle, d_pos, d_neg, param)
+            assert abs(loss(d_pos, d_neg, params) - expect) < 1e-12, (kind, param, d_pos.shape)
+            results = []
+            for fn in (loss, chain):
+                tape = dg.Tape()
+                p, n = tape.variable(d_pos), tape.variable(d_neg)
+                out = fn(p, n, params)
+                gmap = dg.backward(tape, out)
+                results.append((float(out.data), gmap.grad(p), gmap.grad(n)))
+            (got, *grads), (chain_got, *chain_grads) = results
+            assert abs(got - expect) < 1e-12 and abs(got - chain_got) < 1e-12
+            for g, chain_g in zip(grads, chain_grads):
+                assert np.all(np.isfinite(g))
+                assert np.max(np.abs(g - chain_g)) <= 1e-13 * np.max(np.abs(chain_g)), (kind, param, d_pos.shape)
+                assert kind != "infonce" or np.array_equal(g, chain_g)
+            assert kind != "infonce" or got == chain_got
+
+
+@pytest.mark.parametrize("tau", [0.5, 2.0])
+def test_infonce_op_gradient_matches_central_differences(tau):
+    # small tau is checked against the op chain only: at tau 0.1 some
+    # gradient entries are already below the differences' roundoff
+    rng = np.random.default_rng(37)
+    for k, point in ((1, rng.uniform(-1, 1, 5)), (2, rng.uniform(-1, 1, (3, 6)))):
+        report = dg.grad_check(lambda t, x: ls.infonce_from_concat(x, k, InfoNCEParams(tau=tau)), point,
+                               h=1e-6, tol=1e-6)
+        assert report.passed, (tau, k, report.max_rel_error)
+
+
+def test_triplet_op_gradient_matches_central_differences():
+    rng = np.random.default_rng(38)
+    for margin in (0.4, math.inf):
+        for k, point in ((1, rng.uniform(-1, 1, 5)), (2, rng.uniform(-1, 1, (3, 6)))):
+            params = TripletParams(margin=margin)
+            block = point.reshape(-1, point.shape[-1])
+            hinge = block[:, :k, None] - block[:, None, k:] + margin
+            assert math.isinf(margin) or np.min(np.abs(hinge)) > 1e-3  # no pair at its kink
+            report = dg.grad_check(lambda t, x: ls.triplet_from_concat(x, k, params), point, h=1e-6, tol=1e-7)
+            assert report.passed, (margin, k, report.max_rel_error)
+
+
+def test_triplet_hinge_at_exactly_zero_has_zero_gradient():
+    # d_p - d_n + margin == 0 exactly: clamp's mask is strict, so the pair
+    # is inactive; the second negative's pair is active
+    tape = dg.Tape()
+    d = tape.variable([0.25, 0.75, 0.0])
+    loss = ls.triplet_from_concat(d, 1, TripletParams(margin=0.5))
+    assert 0.25 - 0.75 + 0.5 == 0.0 and float(loss.data) == 0.75 / 2
+    assert dg.backward(tape, loss).grad(d).tolist() == [0.5, 0.0, -0.5]
+    tape = dg.Tape()
+    d = tape.variable([0.25, 0.75])
+    assert dg.backward(tape, ls.triplet_from_concat(d, 1, TripletParams(margin=0.5))).grad(d).tolist() == [0.0, 0.0]
+
+
+def test_taped_baselines_record_one_op():
+    tape = dg.Tape()
+    block = tape.variable([[0.1, 0.3, 0.5], [0.2, 0.0, 0.4]])
+    ls.infonce_from_concat(block, 1, InfoNCEParams())
+    ls.triplet_from_concat(block, 2, TripletParams())
+    assert [node.op_kind for node in tape.nodes] == ["infonce", "triplet"]
+    tape = dg.Tape()
+    ls.infonce_loss(tape.variable([[0.1], [0.2]]), tape.variable([[0.3, 0.5], [0.0, 0.4]]), InfoNCEParams())
+    assert [node.op_kind for node in tape.nodes] == ["concat", "infonce"]
+    for bad in ([0.1], np.zeros((2, 0)), [0.1, np.nan]):
+        with pytest.raises(ValueError):
+            ls.infonce_from_concat(bad, 1, InfoNCEParams())
+        with pytest.raises(ValueError):
+            ls.triplet_from_concat(bad, 1, TripletParams())
 
 
 def test_param_validation():

@@ -9,6 +9,8 @@ from groco import diffgrad as dg
 from groco import model as md
 from groco.model import CheckpointFormatError, TrainConfig
 
+import tapeops
+
 
 def test_init_params_deterministic_and_bounded():
     p1 = md.init_params(8, (16, 16), (4, 4), seed=3)
@@ -218,7 +220,9 @@ def test_default_step_records_6_tape_nodes(monkeypatch):
     # the encoder's hidden layer, its last layer and the head's first layer
     # as one affine map, the head's last layer, 1 selected-distances op, and
     # the border mass and clamped BCE of the group-ordering loss, which takes
-    # the selected block whole: no gather and no join
+    # the selected block whole: no gather and no join. InfoNCE, over all
+    # negatives or the top N, and triplet take the block whole too, as one
+    # op each, so their steps record 5 nodes.
     seen = []
     real = md.dg.backward
 
@@ -227,10 +231,16 @@ def test_default_step_records_6_tape_nodes(monkeypatch):
         return real(tape, loss)
 
     monkeypatch.setattr(md.dg, "backward", recording)
-    md.train(dio.synth_generate(dio.SynthConfig(per_cluster=16)), TrainConfig(epochs=2))
-    step = ["affine", "affine_pair", "affine", "selected_distances", "border_mass", "bce_mean"]
-    assert seen == [step, step]
-    assert not {"index_select", "concat"} & set(seen[0])
+    ds = dio.synth_generate(dio.SynthConfig(per_cluster=16))
+    for kw, loss_ops in ((dict(), ["border_mass", "bce_mean"]),
+                         (dict(loss_kind="infonce", lr=0.1), ["infonce"]),
+                         (dict(loss_kind="infonce", infonce_top_n=True, lr=0.1), ["infonce"]),
+                         (dict(loss_kind="triplet", lr=0.1), ["triplet"])):
+        seen.clear()
+        md.train(ds, TrainConfig(epochs=2, **kw))
+        step = ["affine", "affine_pair", "affine", "selected_distances", *loss_ops]
+        assert seen == [step, step], kw
+        assert not {"index_select", "concat"} & set(seen[0])
 
 
 def _chain_forward(params, tape, views):
@@ -239,21 +249,22 @@ def _chain_forward(params, tape, views):
     tensors = [(tape.variable(w), tape.variable(b)) for w, b in params.encoder + params.projection]
     h = tape.constant(views)
     for i, (w, b) in enumerate(tensors):
-        h = dg.matmul(h, w) + b
+        h = tapeops.add(dg.matmul(h, w), b)
         if i not in (len(params.encoder) - 1, len(tensors) - 1):
-            h = dg.clamp(h, lo=0.0)
+            h = tapeops.clamp(h, lo=0.0)
         if i == len(params.encoder) - 1:
             representation = h
     return tensors, representation, h
 
 
-def test_default_step_matches_the_matmul_add_clamp_chain():
+def test_default_step_matches_the_matmul_add_clamp_chain(monkeypatch):
     # the projections, the loss and all 8 parameter gradients of a default
     # GroCo step, with nonzero biases, through `_forward_core` (which maps
     # the representation layer and the head's first layer as one) and
     # through the 10-op chain (which forms the representation first): equal
     # up to rounding. The representation `forward` returns is bitwise the
     # chain's, and its projection bitwise the taped one.
+    tapeops.install(monkeypatch)
     rng = np.random.default_rng(21)
     params = md.init_params(32, seed=4)
     for _, b in params.encoder + params.projection:

@@ -6,6 +6,7 @@ import pytest
 from groco import diffgrad as dg
 from groco import sortcore as sc
 
+import tapeops
 from oracles import oracle_diff_sort, oracle_f, oracle_step_matrix
 
 
@@ -138,14 +139,15 @@ def test_sort_matrix_batch_matches_dense_oracle():
             assert np.array_equal(sc.sort_matrix(rows[2], beta), p[2])
 
 
-def test_sort_matrix_gradient_matches_central_differences():
+def test_sort_matrix_gradient_matches_central_differences(monkeypatch):
+    tapeops.install(monkeypatch)
     rng = np.random.default_rng(10)
     for n in (1, 2, 5, 11):
         for beta in (0.5, 4.0):
             rows = _tied_batch(rng, n)
             weights = rng.uniform(-1.0, 1.0, (4, n, n))
             report = dg.grad_check(
-                lambda t, x: dg.sum(dg.mul(sc.sort_matrix(x, beta), weights)), rows, h=1e-6, tol=1e-5
+                lambda t, x: tapeops.weighted_sum(sc.sort_matrix(x, beta), weights), rows, h=1e-6, tol=1e-5
             )
             assert report.passed, f"n={n} beta={beta}: rel error {report.max_rel_error:.3e}"
 
@@ -167,8 +169,9 @@ def test_sort_matrix_exact_ties_match_dense_oracle():
             assert np.array_equal(sc.sort_matrix(row, beta), got)
 
 
-def test_sort_matrix_saturates_at_large_beta_with_finite_gradient():
+def test_sort_matrix_saturates_at_large_beta_with_finite_gradient(monkeypatch):
     # at beta=64 a gap of 1e6 leaves each swap within ~5e-9 of hard
+    tapeops.install(monkeypatch)
     rng = np.random.default_rng(15)
     for n in (2, 5, 8):
         rows = np.stack([1e6 * rng.permutation(n) for _ in range(3)])
@@ -178,7 +181,7 @@ def test_sort_matrix_saturates_at_large_beta_with_finite_gradient():
             assert np.max(np.abs(got - q)) < 1e-7
         tape = dg.Tape()
         x = tape.variable(rows)
-        grad = dg.backward(tape, dg.sum(dg.mul(sc.sort_matrix(x, 64.0), rng.normal(size=(3, n, n))))).grad(x)
+        grad = dg.backward(tape, tapeops.weighted_sum(sc.sort_matrix(x, 64.0), rng.normal(size=(3, n, n)))).grad(x)
         assert np.all(np.isfinite(grad))
 
 
@@ -256,7 +259,8 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 33, 64])
-def test_sort_matrix_parity_major_layout_is_bitwise_the_stride2_network(n):
+def test_sort_matrix_parity_major_layout_is_bitwise_the_stride2_network(n, monkeypatch):
+    tapeops.install(monkeypatch)
     rng = np.random.default_rng(100 + n)
     for beta in (1.0, 64.0):
         rows = _tied_batch(rng, n) * n
@@ -265,7 +269,7 @@ def test_sort_matrix_parity_major_layout_is_bitwise_the_stride2_network(n):
         tape = dg.Tape()
         x = tape.variable(rows)
         taped = sc.sort_matrix(x, beta)
-        grad = dg.backward(tape, dg.sum(dg.mul(taped, g))).grad(x)
+        grad = dg.backward(tape, tapeops.weighted_sum(taped, g)).grad(x)
         assert _same_bits(taped.data, expect_p), (n, beta)
         assert _same_bits(grad, expect_grad), (n, beta)
         assert _same_bits(sc.sort_matrix(rows, beta), taped.data)
@@ -274,8 +278,9 @@ def test_sort_matrix_parity_major_layout_is_bitwise_the_stride2_network(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 33, 64])
-def test_sort_matrix_gradient_is_within_1e_13_of_the_einsum_backward(n):
+def test_sort_matrix_gradient_is_within_1e_13_of_the_einsum_backward(n, monkeypatch):
     # tied rows, and a row spread by 1e6 that saturates every swap at beta 64
+    tapeops.install(monkeypatch)
     rng = np.random.default_rng(200 + n)
     for beta in (0.3, 1.0, 7.5, 64.0):
         rows = np.vstack([_tied_batch(rng, n) * n, 1e6 * rng.permutation(n)])
@@ -288,7 +293,7 @@ def test_sort_matrix_gradient_is_within_1e_13_of_the_einsum_backward(n):
         assert _same_bits(taped.data, expect_p), (n, beta)
         if n == 1:
             assert tape.nodes[0].attrs["saved"] == []  # no comparator, no slope
-        grad = dg.backward(tape, dg.sum(dg.mul(taped, g))).grad(x)
+        grad = dg.backward(tape, tapeops.weighted_sum(taped, g)).grad(x)
         for got, expect in zip(grad, expect_grad):
             assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect)), (n, beta)
     if n == 1:
@@ -335,7 +340,8 @@ def _stride2_border_mass(rows, k, beta, g):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 11, 16])
-def test_border_mass_parity_major_layout_is_bitwise_the_stride2_kernel(n):
+def test_border_mass_parity_major_layout_is_bitwise_the_stride2_kernel(n, monkeypatch):
+    tapeops.install(monkeypatch)
     rng = np.random.default_rng(200 + n)
     for beta in (1.0, 64.0):
         for k in sorted({1, n - 1}):
@@ -345,7 +351,7 @@ def test_border_mass_parity_major_layout_is_bitwise_the_stride2_kernel(n):
             tape = dg.Tape()
             x = tape.variable(rows)
             taped = sc.border_mass(x, k, beta)
-            grad = dg.backward(tape, dg.sum(dg.mul(taped, g))).grad(x)
+            grad = dg.backward(tape, tapeops.weighted_sum(taped, g)).grad(x)
             assert _same_bits(taped.data, expect_mass), (n, beta, k)
             assert _same_bits(grad, expect_grad), (n, beta, k)
             assert _same_bits(sc.border_mass(rows, k, beta), expect_mass)
@@ -355,7 +361,7 @@ def test_border_mass_parity_major_layout_is_bitwise_the_stride2_kernel(n):
                 x = tape.variable(row)
                 taped = sc.border_mass(x, k, beta)
                 assert _same_bits(taped.data, mass)
-                assert _same_bits(dg.backward(tape, dg.sum(dg.mul(taped, row_g))).grad(x), row_grad)
+                assert _same_bits(dg.backward(tape, tapeops.weighted_sum(taped, row_g)).grad(x), row_grad)
 
 
 def _place_counts(n):
@@ -375,7 +381,8 @@ def test_border_mass_matches_sort_matrix_column_sums():
                 assert np.array_equal(sc.border_mass(rows[2], k, beta), mass[2])
 
 
-def test_border_mass_gradient_matches_central_differences():
+def test_border_mass_gradient_matches_central_differences(monkeypatch):
+    tapeops.install(monkeypatch)
     rng = np.random.default_rng(12)
     for n in (1, 2, 5, 11):
         for beta in (0.5, 4.0):
@@ -384,13 +391,14 @@ def test_border_mass_gradient_matches_central_differences():
             for k in _place_counts(n):
                 # h=1e-5: some coordinates are ~1e-6, where h=1e-6 leaves too much roundoff
                 report = dg.grad_check(
-                    lambda t, x: dg.sum(dg.mul(sc.border_mass(x, k, beta), weights)), rows, h=1e-5, tol=1e-5
+                    lambda t, x: tapeops.weighted_sum(sc.border_mass(x, k, beta), weights), rows, h=1e-5, tol=1e-5
                 )
                 assert report.passed, f"n={n} beta={beta} k={k}: rel error {report.max_rel_error:.3e}"
 
 
-def test_border_mass_gradient_equals_sort_matrix_gradient():
+def test_border_mass_gradient_equals_sort_matrix_gradient(monkeypatch):
     # the same weights on the first k rows of P give the same function
+    tapeops.install(monkeypatch)
     rng = np.random.default_rng(13)
     for n in (2, 3, 5, 11, 31):
         for beta in (0.5, 4.0, 64.0):
@@ -404,7 +412,7 @@ def test_border_mass_gradient_equals_sort_matrix_gradient():
                               (lambda x: sc.sort_matrix(x, beta), on_p)):
                     tape = dg.Tape()
                     x = tape.variable(rows)
-                    grads.append(dg.backward(tape, dg.sum(dg.mul(op(x), w))).grad(x))
+                    grads.append(dg.backward(tape, tapeops.weighted_sum(op(x), w)).grad(x))
                 assert np.max(np.abs(grads[0] - grads[1])) < 1e-12, (n, beta, k)
 
 
