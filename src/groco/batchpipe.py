@@ -10,9 +10,11 @@ block is recorded, as one tape op whose hand-written gradient is one dense
 default) lives in that gradient: the other views count as constants, so the
 loss gradient reaches only each anchor's own projection.
 
-Each block row is [positives | negatives], each group ascending when
-pre-ordered, which is the row the group-ordering loss sorts. Every loss
-takes the block whole with the positive count, in one call.
+Each block row is [positives | negatives]. For the group-ordering loss each
+group is ascending when pre-ordered, which is the row its network sorts;
+InfoNCE and triplet read no order within a group and get both groups in
+batch order. Every loss takes the block whole with the positive count, in
+one call.
 
 Projections may be a plain array (losses come back as floats) or a
 `diffgrad.Tensor` (losses are recorded scalars).
@@ -137,28 +139,31 @@ def _select_groups(
     batch: ViewBatch, raw: np.ndarray, num_negatives: int, random_negatives: bool, preorder: bool, rng
 ):
     """Columns of every anchor's positives (A, m - 1) and negatives (A, N)
-    in the distance matrix `raw`, one row per anchor. For the top-N
-    negatives `raw` must be writable: each anchor's own columns are masked
-    in place and put back before this returns."""
+    in the distance matrix `raw`, one row per anchor, each group ascending
+    by distance if `preorder` and in batch order otherwise. A count N that
+    covers every negative takes the other images' columns whole, with no
+    search. For the top-N negatives `raw` must be writable: each anchor's
+    own columns are masked in place and put back before this returns."""
     own = _own_image_columns(batch)
     rows = np.arange(batch.num_views)[:, None]
     pos = own[own != rows].reshape(batch.num_views, -1)
-    if random_negatives:
-        if rng is None:
+    if random_negatives or num_negatives >= batch.num_views - batch.views_per_image:
+        if random_negatives and rng is None:
             raise ValueError("random_negatives requires a seeded rng")
         other = np.ones(raw.shape, dtype=bool)
         other[rows, own] = False
         neg = (np.flatnonzero(other) % batch.num_views).reshape(batch.num_views, -1)
-        picks = np.argsort(rng.random(neg.shape), axis=1)[:, :num_negatives]
-        neg = np.take_along_axis(neg, np.sort(picks, axis=1), axis=1)  # batch order
+        if random_negatives:
+            picks = np.argsort(rng.random(neg.shape), axis=1)[:, :num_negatives]
+            neg = np.take_along_axis(neg, np.sort(picks, axis=1), axis=1)  # batch order
         if preorder:
             neg = _ascending(raw, neg)
     else:
-        # +inf sorts after every distance, so with N capped at the number of
-        # negatives no column of the anchor's own image is ever taken
+        # +inf sorts after every distance, and N is below the number of
+        # negatives, so no column of the anchor's own image is ever taken
         own_d = raw[rows, own]
         raw[rows, own] = np.inf
-        neg = select_top_negatives(raw, min(num_negatives, batch.num_views - batch.views_per_image))
+        neg = select_top_negatives(raw, num_negatives)
         raw[rows, own] = own_d
         if not preorder:
             neg = np.sort(neg, axis=1)  # keep batch order
@@ -250,6 +255,7 @@ def batch_loss(
     `num_negatives` for triplet and for InfoNCE with `infonce_top_n`; without
     it InfoNCE uses all available negatives. Only a count that is used is
     checked, and either count is capped at the negatives the batch holds.
+    `preorder` applies to the group-ordering loss only.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss_kind {loss_kind!r}, expected one of {LOSS_KINDS}")
@@ -268,6 +274,8 @@ def batch_loss(
     if effective_n < 1:
         raise ValueError(f"num_negatives must be >= 1, got {effective_n}")
 
+    # only the group-ordering loss reads the order within a group
+    preorder = preorder and loss_kind == "groco"
     block, _, _ = _selected_distances(batch, effective_n, stop_grad, random_negatives, preorder, rng)
     num_positives = batch.views_per_image - 1
     if loss_kind == "groco":

@@ -240,32 +240,39 @@ def checkpoint_load(path) -> tuple[ModelParams, OptimizerState]:
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim, "dims"))
         size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         data = np.frombuffer(r.take(4 * size, f"data of {name}"), dtype="<f4")
+        if name in tensors:
+            raise CheckpointFormatError(f"tensor {name!r} given twice, again at offset {r.offset}")
         tensors[name] = data.astype(np.float64).reshape(shape)
     if r.offset != len(blob):
         raise CheckpointFormatError(f"trailing bytes at offset {r.offset}")
+
+    def tensor(name: str) -> np.ndarray:
+        if name not in tensors:
+            raise CheckpointFormatError(f"missing tensor {name!r}")
+        return tensors[name]
+
+    def scalar(name: str) -> float:
+        value = tensor(name)
+        if value.size != 1:
+            raise CheckpointFormatError(f"tensor {name!r} must hold one value, got shape {value.shape}")
+        return float(value.flat[0])
 
     def layer_stack(prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
         stack = []
         i = 0
         while f"{prefix}.{i}.weight" in tensors:
-            stack.append((tensors[f"{prefix}.{i}.weight"], tensors[f"{prefix}.{i}.bias"]))
+            stack.append((tensors[f"{prefix}.{i}.weight"], tensor(f"{prefix}.{i}.bias")))
             i += 1
         if not stack:
             raise CheckpointFormatError(f"no '{prefix}.*' tensors in checkpoint")
         return stack
 
     params = ModelParams(encoder=layer_stack("enc"), projection=layer_stack("proj"))
-    for key in ("opt.step", "opt.momentum", "opt.base_lr"):
-        if key not in tensors:
-            raise CheckpointFormatError(f"missing tensor {key!r}")
-    velocity = {
-        name: tensors[f"opt.v.{name}"] for name, _ in params.named_arrays()
-    }
     state = OptimizerState(
-        velocity=velocity,
-        step_count=int(tensors["opt.step"][0]),
-        momentum=float(tensors["opt.momentum"][0]),
-        base_lr=float(tensors["opt.base_lr"][0]),
+        velocity={name: tensor(f"opt.v.{name}") for name, _ in params.named_arrays()},
+        step_count=int(scalar("opt.step")),
+        momentum=scalar("opt.momentum"),
+        base_lr=scalar("opt.base_lr"),
     )
     return params, state
 

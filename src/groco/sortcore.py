@@ -6,24 +6,25 @@ the pairs starting at index 1 (0-based). Relaxing each conditional swap with
 an arctan sigmoid turns the network into a chain of doubly stochastic swap
 matrices whose product is a differentiable permutation matrix.
 
-Two kernels run the relaxed network over one value list or a batch of rows
-at once:
+Two kernels run the relaxed network over one value list or a batch of A
+rows at once. Both keep one layout, a state with the places on axis 0 and
+the rows on axis 1, the places parity-major: the even places first, then
+the odd ones, so each step compares two contiguous blocks of places. The
+network itself is data, a list of layers that every loop walks: the (top,
+bottom) block pair of each step that has a comparator (`_layers`).
 
-- `border_mass` returns only each input's mass in the first k sorted places,
-  s^T P for the indicator s of those places. It runs the network on the
-  values alone and pushes s back through the steps, in O(n^2) per row. The
-  group-ordering loss uses it. It works on (n, A) copies of the rows, one
-  row of A values per place.
 - `sort_matrix` returns the full permutation matrix P, in O(n^3) per row.
   `diff_sort`, sorting supervision and `groco sort` use it, and it is the
-  reference `border_mass` is tested against. Its state holds the rows of
-  [P | values] and moves each compared row pair in place by the pair's
-  swap probability.
+  reference `border_mass` is tested against. Its state (n, A, n + 1) holds
+  the rows of [P | values]; `_forward` moves each compared pair in place by
+  its swap probability.
+- `border_mass` returns only each input's mass in the first k sorted places,
+  s^T P for the indicator s of those places, in O(n^2) per row. The
+  group-ordering loss uses it. Its state (n, A, 1) holds only the values;
+  `_stay_chain` runs them through the network in the stay form and then
+  pushes s back through the stored stays.
 
-Both keep their places in one layout, parity-major: the even places first
-and then the odd ones, so each step compares two contiguous blocks of
-places (`_parity_blocks`). They put the places back in order once, when
-the result is returned.
+Both gradients run one adjoint loop (`_adjoint`) over the stored steps.
 
 Each accepts either a plain array (returning concrete results and keeping
 nothing of the steps) or a `diffgrad.Tensor`, on whose tape the whole
@@ -136,86 +137,66 @@ def soft_swap(d_i: float, d_j: float, beta: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _parity_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Copy the place rows (axis 1) of `x` into `out` in parity-major order:
-    the even places 0, 2, 4, ... first, then the odd places 1, 3, 5, ..."""
+def _parity_places(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy `x` (A, n, ...) into `out` (n, A, ...), moving the places from
+    axis 1 to axis 0 in parity-major order: the even places 0, 2, 4, ...
+    first, then the odd places 1, 3, 5, ..."""
     evens = (x.shape[1] + 1) // 2
-    out[:, :evens] = x[:, 0::2]
-    out[:, evens:] = x[:, 1::2]
+    by_row = out.swapaxes(0, 1)
+    by_row[:, :evens] = x[:, 0::2]
+    by_row[:, evens:] = x[:, 1::2]
     return out
 
 
-def _place_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Undo `_parity_rows`: copy the parity-major rows (axis 1) of `x` into
-    `out` in place order."""
-    evens = (x.shape[1] + 1) // 2
-    out[:, 0::2] = x[:, :evens]
-    out[:, 1::2] = x[:, evens:]
+def _ordered_places(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Undo `_parity_places`: copy the parity-major places (axis 0) of `x`
+    into `out` (A, n, ...), in place order on axis 1."""
+    evens = (x.shape[0] + 1) // 2
+    out[:, 0::2] = x[:evens].swapaxes(0, 1)
+    out[:, 1::2] = x[evens:].swapaxes(0, 1)
     return out
 
 
-def _parity_blocks(n: int) -> list[tuple[slice, slice]]:
-    """(top, bottom) row blocks of the odd step and of the even step of an
-    n-input network in parity-major order; each step compares top[j] with
-    bottom[j]. The odd step pairs places (2j, 2j + 1), even[j] with odd[j];
-    the even step pairs (2j + 1, 2j + 2), odd[j] with even[j + 1]. A step
-    with no pair has empty blocks."""
-    evens = (n + 1) // 2
-    odd_pairs, even_pairs = n // 2, (n - 1) // 2
-    return [
-        (slice(0, odd_pairs), slice(evens, evens + odd_pairs)),
-        (slice(evens, evens + even_pairs), slice(1, 1 + even_pairs)),
-    ]
+def _layers(x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The network over the parity-major places (axis 0) of `x`, as data:
+    one layer per step that has a comparator, in step order, each the
+    (top, bottom) views of the place blocks it compares, top[j] with
+    bottom[j]. Steps 1, 3, ... pair places (2j, 2j + 1), even[j] with
+    odd[j]; steps 2, 4, ... pair (2j + 1, 2j + 2), odd[j] with even[j + 1]."""
+    n = x.shape[0]
+    evens, odd_pairs, even_pairs = (n + 1) // 2, n // 2, (n - 1) // 2
+    blocks = (x[:odd_pairs], x[evens : evens + odd_pairs]), (x[evens : evens + even_pairs], x[1 : 1 + even_pairs])
+    return [blocks[step % 2] for step in range(n) if len(blocks[step % 2][0])]
 
 
-def _network(values: np.ndarray, beta: float, keep: bool):
-    """Run the relaxed network over every row of `values` (A, n) at once.
-
-    The state is M = [P | v] of shape (A, n, n + 1): the permutation so far
-    and the running values, with its place rows in parity-major order (see
-    `_parity_rows`), so both kinds of step compare two contiguous row
-    blocks and nothing is reordered between steps. A step moves each
-    compared row pair (i, j) in place by its swap probability
-    swap = f(v_i - v_j): row_i -= swap * (row_i - row_j) and
-    row_j += swap * (row_i - row_j). Returns P after all n steps, its rows
-    back in place order, and, if `keep`, per step with at least one pair,
-    (step parity, swap, row_i - row_j, slope) for the gradient, where
-    slope = d swap / d(v_i - v_j); otherwise nothing is kept and the second
-    result is None.
-    """
-    rows, n = values.shape
-    evens = (n + 1) // 2
-    m = np.zeros((rows, n, n + 1), dtype=np.float64)
-    # P starts as the identity: row r < evens holds place 2r and row evens + j
-    # place 2j + 1, so within each block a row's 1 sits n + 3 entries after
-    # the previous row's
-    flat = m.reshape(rows, -1)
-    flat[:, : evens * (n + 1) : n + 3] = 1.0
-    flat[:, evens * (n + 1) + 1 :: n + 3] = 1.0
-    _parity_rows(values, m[:, :, n])
-    blocks = [(top.stop - top.start, m[:, top], m[:, bottom]) for top, bottom in _parity_blocks(n)]
+def _forward(x: np.ndarray, beta: float, keep: bool):
+    """Run the relaxed network in place on the state `x` (n, A, c): its
+    places parity-major on axis 0 (see `_parity_places`), the running
+    values in its last column. A step moves each compared place pair (i, j)
+    by its swap probability swap = f(v_i - v_j): x_i -= swap * (x_i - x_j)
+    and x_j += swap * (x_i - x_j). If `keep`, returns per layer (swap,
+    x_i - x_j, slope) for the gradient, where slope = d swap / d(v_i - v_j);
+    otherwise keeps nothing and returns None."""
+    n, rows = x.shape[:2]
     saved = [] if keep else None
     # one slot per comparator for beta * (v_i - v_j), turned into the slopes
     # after the last step
-    slopes = np.empty((rows, n * (n - 1) // 2)) if keep else None
+    slopes = np.empty((n * (n - 1) // 2, rows)) if keep else None
     used = 0
-    for step in range(n):
-        pairs, top, bottom = blocks[step % 2]
-        if pairs == 0:
-            continue
+    for top, bottom in _layers(x):
         diff = top - bottom
         if keep:
-            beta_gap = np.multiply(beta, diff[..., n], out=slopes[:, used : used + pairs])
-            used += pairs
+            beta_gap = np.multiply(beta, diff[..., -1], out=slopes[used : used + len(diff)])
+            used += len(diff)
         else:
-            beta_gap = beta * diff[..., n]
+            beta_gap = beta * diff[..., -1]
         swap = np.arctan(beta_gap)
         swap *= _INV_PI
         swap += 0.5
         swap = swap[..., None]
         if keep:
             shift = swap * diff
-            saved.append((step % 2, swap, diff, beta_gap))
+            saved.append((swap, diff, beta_gap))
         else:
             shift = np.multiply(swap, diff, out=diff)
         top -= shift
@@ -226,32 +207,86 @@ def _network(values: np.ndarray, beta: float, keep: bool):
         np.square(slopes, out=slopes)
         slopes += 1.0
         np.divide(beta * _INV_PI, slopes, out=slopes)
-    return _place_rows(m[:, :, :n], np.empty((rows, n, n))), saved
+    return saved
 
 
-def _vjp_sort_matrix(node, g):
-    """Reverse pass through the stored steps: each step is linear in M given
-    its swap probabilities, with the same in-place form as the forward, and
-    each swap depends on its pair's values. The gradient state has the
-    forward's parity-major row order, undone once on the value gradient."""
-    x = node.inputs[0]
-    n = x.shape[-1]
-    rows = x.size // n
-    gm = np.zeros((rows, n, n + 1), dtype=np.float64)
-    _parity_rows(g.reshape(rows, n, n), gm[:, :, :n])
-    blocks = [(gm[:, top], gm[:, bottom]) for top, bottom in _parity_blocks(n)]
-    for parity, swap, diff, slope in reversed(node.attrs["saved"]):
-        g_top, g_bottom = blocks[parity]
-        g_diff = g_top - g_bottom
-        g_stay = np.vecdot(g_diff, diff)
+def _stay_chain(layers, stays, beta=None) -> list[np.ndarray]:
+    """Apply one stay per compared pair at each of `layers`, in place and in
+    the order given: x_i, x_j <- x_j + stay * (x_i - x_j), x_i - stay *
+    (x_i - x_j), the step of `_forward` with stay = 1 - swap. Returns each
+    step's gap x_i - x_j from before it. With `beta`, each stay is first
+    computed from its gap, as f(x_j - x_i), and appended to `stays`: the
+    value chain of the network."""
+    gaps = []
+    for step, (top, bottom) in enumerate(layers):
+        gap = top - bottom
+        if beta is not None:
+            stays.append(np.arctan(-beta * gap) * _INV_PI + 0.5)
+        shift = stays[step] * gap
+        new_top = bottom + shift
+        np.subtract(top, shift, out=bottom)
+        top[...] = new_top
+        gaps.append(gap)
+    return gaps
+
+
+def _adjoint(g: np.ndarray, saved, stay_grads=None) -> None:
+    """Run the steps of `saved` backwards in place on the gradient state
+    `g`, laid out as the forward's state. Each step is linear in the state
+    given its swaps, with the same in-place form as the forward, and each
+    swap depends on its pair's values. `stay_grads`, if given, holds per
+    layer a gradient on each stay 1 - swap from outside the state, added to
+    the state's own before it goes through the slope."""
+    layers = _layers(g)
+    for step in reversed(range(len(saved))):
+        top, bottom = layers[step]
+        swap, diff, slope = saved[step]
+        g_diff = top - bottom
+        # one column's dot product is the plain product, without `vecdot`'s
+        # per-row call
+        g_stay = np.vecdot(g_diff, diff) if diff.shape[-1] > 1 else g_diff[..., 0] * diff[..., 0]
+        if stay_grads is not None:
+            g_stay += stay_grads[step]
         shift = np.multiply(swap, g_diff, out=g_diff)
         # g_stay = -dL/dswap reaches the values through the slope:
         # negative at v_i, positive at v_j
         g_stay *= slope
-        shift[..., n] += g_stay
-        g_top -= shift
-        g_bottom += shift
-    return (_place_rows(gm[:, :, n], np.empty((rows, n))).reshape(x.shape),)
+        shift[..., -1] += g_stay
+        top -= shift
+        bottom += shift
+
+
+def _network(values: np.ndarray, beta: float, keep: bool):
+    """Run the relaxed network on M = [P | v] (n, A, n + 1) for every row of
+    `values` (A, n), P starting as the identity. Returns P (A, n, n), its
+    rows in place order, and what `_forward` keeps."""
+    rows, n = values.shape
+    evens = (n + 1) // 2
+    m = np.zeros((n, rows, n + 1), dtype=np.float64)
+    # the identity: place row r < evens holds place 2r and row evens + j
+    # place 2j + 1, so within each block a row's 1s sit one place row and
+    # two columns after the previous row's
+    place, row, col = m.strides
+    diagonal = (place + 2 * col, row)
+    np.ndarray((evens, rows), np.float64, m, 0, diagonal)[...] = 1.0
+    if n > 1:
+        np.ndarray((n // 2, rows), np.float64, m, evens * place + col, diagonal)[...] = 1.0
+    _parity_places(values, m[..., n])
+    saved = _forward(m, beta, keep)
+    return _ordered_places(m[..., :n], np.empty((rows, n, n))), saved
+
+
+def _vjp_sort_matrix(node, g):
+    """The adjoint of `_forward` on the gradient of M, which starts as the
+    gradient of P in the forward's parity-major place order; the values'
+    gradient is read off its last column."""
+    x = node.inputs[0]
+    n = x.shape[-1]
+    rows = x.size // n
+    gm = np.zeros((n, rows, n + 1), dtype=np.float64)
+    _parity_places(g.reshape(rows, n, n), gm[..., :n])
+    _adjoint(gm, node.attrs["saved"])
+    return (_ordered_places(gm[..., n], np.empty((rows, n))).reshape(x.shape),)
 
 
 dg.VJP_RULES["sort_matrix"] = _vjp_sort_matrix
@@ -277,70 +312,28 @@ def sort_matrix(values, beta: float):
     return p
 
 
-def _parity_major(rows: np.ndarray) -> np.ndarray:
-    """A (n, A) copy of the (A, n) `rows`, one row per place, the places in
-    parity-major order (see `_parity_rows`)."""
-    out = np.empty(rows.shape[::-1], dtype=np.float64)
-    _parity_rows(rows, out.T)
-    return out
-
-
-def _value_chain(rows: np.ndarray, beta: float):
-    """Run the relaxed network on the running values of every row of `rows`
-    (A, n) alone, on a parity-major (n, A) copy (see `_parity_major`).
-    Returns, per step with at least one pair, (top block, bottom block,
-    stay, v_i - v_j) with the values entering the step; these are the same
-    stays `_network` computes. The caller's array is not written to."""
-    v = _parity_major(rows)
-    blocks = _parity_blocks(v.shape[0])
-    steps = []
-    for step in range(v.shape[0]):
-        top, bottom = blocks[step % 2]
-        if top.start == top.stop:
-            continue
-        gap = v[top] - v[bottom]
-        stay = np.arctan(-beta * gap) * _INV_PI + 0.5
-        steps.append((top, bottom, stay, _swap_step(v, top, bottom, stay, gap)))
-    return steps
-
-
-def _swap_step(x: np.ndarray, top: slice, bottom: slice, stay: np.ndarray, gap=None) -> np.ndarray:
-    """Apply one step's symmetric swap block to the parity-major place rows
-    of `x` (n, A) in place, each row of the `top` block paired with the same
-    row of the `bottom` block: x_i, x_j <- stay * x_i + (1 - stay) * x_j and
-    its mirror image. Returns `gap`, x_i - x_j from before the step, which
-    is computed here unless the caller has it."""
-    x_i, x_j = x[top], x[bottom]
-    if gap is None:
-        gap = x_i - x_j
-    shift = stay * gap
-    new_top = x_j + shift
-    np.subtract(x_i, shift, out=x_j)
-    x[top] = new_top
-    return gap
-
-
 def _vjp_border_mass(node, g):
-    """The mass is S_1 ... S_T s for the step matrices S_t, each symmetric
-    and linear given its stays. The adjoint u of the place chain runs the
-    steps forwards and gives each stay (u_i - u_j)(w_i - w_j); the adjoint
-    of the value chain then runs them backwards, adds its own stay term, and
-    turns each stay gradient into one on its pair's values. Both adjoints
-    are parity-major, like the chains."""
+    """The mass is s^T P = S_1 ... S_T s for the step matrices S_t, each
+    symmetric and linear given its stays. The adjoint u of that chain runs
+    the steps forwards, so each stay gets (u_i - u_j)(w_i - w_j) from the
+    mass, with the gaps of w that the forward stored. `_adjoint` then runs
+    the value chain backwards from a zero state and adds that term to each
+    stay's gradient."""
     x = node.inputs[0]
-    beta = node.attrs["beta"]
-    steps, w_gaps = node.attrs["steps"], node.attrs["w_gaps"]
     n = x.shape[-1]
-    u = _parity_major(np.reshape(g, (-1, n)))
-    g_stays = [_swap_step(u, top, bottom, stay) * w_gap for (top, bottom, stay, _), w_gap in zip(steps, w_gaps)]
+    beta, stays, gaps = node.attrs["beta"], node.attrs["stays"], node.attrs["gaps"]
+    u = np.empty((n, x.size // n, 1))
+    _parity_places(np.reshape(g, (-1, n)), u[..., 0])
+    u_gaps = _stay_chain(_layers(u), stays)
+    stay_grads = [(u_gap * w_gap)[..., 0] for u_gap, w_gap in zip(u_gaps, node.attrs["w_gaps"])]
+    # each value step as `_forward` keeps it: swap, gap and d swap / d gap
+    saved = [
+        (1.0 - stay, gap, (beta * _INV_PI) / (1.0 + np.square(beta * gap[..., 0])))
+        for stay, gap in zip(stays, gaps)
+    ]
     a = np.zeros_like(u)
-    for (top, bottom, stay, gap), g_stay in zip(reversed(steps), reversed(g_stays)):
-        g_stay += _swap_step(a, top, bottom, stay) * gap
-        # d stay / d(v_j - v_i), with v_j - v_i = -gap
-        g_gap = g_stay * (beta * _INV_PI) / (1.0 + np.square(beta * gap))
-        a[bottom] += g_gap
-        a[top] -= g_gap
-    return (_place_rows(a.T, np.empty((u.shape[1], n))).reshape(x.shape),)
+    _adjoint(a, saved, stay_grads)
+    return (_ordered_places(a[..., 0], np.empty((u.shape[1], n))).reshape(x.shape),)
 
 
 dg.VJP_RULES["border_mass"] = _vjp_border_mass
@@ -363,17 +356,20 @@ def border_mass(values, num_positives: int, beta: float):
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= num_positives <= {n}, got {k}")
     rows = arr.reshape(-1, n)
-    steps = _value_chain(rows, beta)
+    v = np.empty((n, rows.shape[0], 1))
+    _parity_places(rows, v[..., 0])
+    stays = []
+    gaps = _stay_chain(_layers(v), stays, beta)
     # the indicator of the first k places: places 0, 2, ... < k lead the
     # even block and places 1, 3, ... < k the odd one
-    w = np.zeros(rows.shape[::-1], dtype=np.float64)
+    w = np.zeros_like(v)
     w[: (k + 1) // 2] = 1.0
     w[(n + 1) // 2 : (n + 1) // 2 + k // 2] = 1.0
     # P = S_T ... S_1 with symmetric S_t, so s^T P = S_1 ... S_T s
-    w_gaps = [_swap_step(w, top, bottom, stay) for top, bottom, stay, _ in reversed(steps)][::-1]
-    mass = _place_rows(w.T, np.empty(rows.shape)).reshape(arr.shape)
+    w_gaps = _stay_chain(reversed(_layers(w)), stays[::-1])[::-1]
+    mass = _ordered_places(w[..., 0], np.empty(rows.shape)).reshape(arr.shape)
     if isinstance(values, Tensor):
-        return values.tape._append("border_mass", (values,), mass, beta=beta, steps=steps, w_gaps=w_gaps)
+        return values.tape._append("border_mass", (values,), mass, beta=beta, stays=stays, gaps=gaps, w_gaps=w_gaps)
     return mass
 
 

@@ -545,6 +545,31 @@ def test_batch_loss_matches_per_anchor_oracles_with_ties():
                     assert abs(float(got.data) - expect) < 1e-12, (kind, preorder, stop_grad)
 
 
+def test_infonce_over_all_negatives_neither_searches_nor_sorts(monkeypatch):
+    # InfoNCE reads no order within a group, so its groups come in batch
+    # order, with or without pre-ordering, and the full width takes every
+    # other image's column whole
+    rng = np.random.default_rng(57)
+    raw = rng.normal(size=(12, 4))
+    image_id = np.repeat(np.arange(4), 3)
+    unit = raw / np.sqrt(np.sum(raw * raw, axis=1, keepdims=True))
+    expect = np.mean([oracle_infonce(*_oracle_groups(unit, image_id, a, 9, False), 0.3) for a in range(12)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("InfoNCE over all negatives searched or sorted a group")
+
+    monkeypatch.setattr(bp, "select_top_negatives", refuse)
+    monkeypatch.setattr(bp, "_ascending", refuse)
+    for preorder in (True, False):
+        assert abs(bp.batch_loss(bp.ViewBatch(raw, image_id, 3), "infonce", InfoNCEParams(tau=0.3),
+                                 preorder=preorder) - expect) < 1e-12
+        tape = Tape()
+        batch = bp.ViewBatch(tape.variable(raw), image_id, 3)
+        loss = bp.batch_loss(batch, "infonce", InfoNCEParams(tau=0.3), preorder=preorder)
+        assert abs(float(loss.data) - expect) < 1e-12
+        assert np.all(np.isfinite(dg.backward(tape, loss).grad(batch.projections)))
+
+
 def _dense_chain_loss(batch, kind, params, count, stop_grad, preorder, rng):
     """`batch_loss` as it was built from generic ops before the selected-
     distances op: normalized rows, the full (A, A) distance matrix on the
@@ -558,7 +583,8 @@ def _dense_chain_loss(batch, kind, params, count, stop_grad, preorder, rng):
     rows, dim = x.shape
     d = dg.scale(dg.matmul(unit, dg.index_select(others, np.arange(rows * dim).reshape(rows, dim).T)), -1.0)
     # a writable copy: the selection masks the anchors' own columns in place
-    pos, neg = bp._select_groups(batch, d.data.copy(), count, rng is not None, preorder, rng)
+    # batch_loss pre-orders the groups of the group-ordering loss only
+    pos, neg = bp._select_groups(batch, d.data.copy(), count, rng is not None, preorder and kind == "groco", rng)
     row_start = batch.num_views * np.arange(batch.num_views)[:, None]
     d_pos, d_neg = dg.index_select(d, row_start + pos), dg.index_select(d, row_start + neg)
     if kind == "groco":

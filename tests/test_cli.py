@@ -10,6 +10,8 @@ from groco import cli as gcli
 from groco import dataio as dio
 from groco import diffgrad as dg
 
+from test_model import write_checkpoint_tensors
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -196,6 +198,26 @@ def test_eval_non_positive_or_non_finite_weight_tau_is_usage_error(weight_tau, t
     assert rc == 2
     assert "weight_tau must be finite and > 0" in captured.err
     assert "knn" not in captured.out
+
+
+def test_eval_checkpoint_without_a_bias_is_usage_error(tmp_path, capsys):
+    # used to exit 1 with a KeyError traceback
+    import groco.model as md
+
+    ds = dio.synth_generate(dio.SynthConfig(clusters=3, dim=8, per_cluster=16, seed=2))
+    dio.gvec_write(ds, tmp_path / "data.gvec")
+    params = md.init_params(8, (8, 8), (4, 4), seed=0)
+    md.checkpoint_save(params, md.init_optimizer(params), tmp_path / "good.ckpt")
+    good = md.checkpoint_load(tmp_path / "good.ckpt")[0]
+    tensors = [(n, a) for n, a in good.named_arrays() if n != "enc.0.bias"]
+    tensors += [(f"opt.v.{n}", a) for n, a in good.named_arrays()]
+    tensors += [("opt.step", [0.0]), ("opt.momentum", [0.9]), ("opt.base_lr", [10.0])]
+    write_checkpoint_tensors(tmp_path / "bad.ckpt", tensors)
+    rc = gcli.main(["eval", "--ckpt", str(tmp_path / "bad.ckpt"), "--data", str(tmp_path / "data.gvec"), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "missing tensor 'enc.0.bias'" in captured.err
+    assert captured.out == ""
 
 
 def test_eval_random_init_checkpoint(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -151,6 +152,56 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(CheckpointFormatError, match="magic"):
+        md.checkpoint_load(path)
+
+
+def _checkpoint_tensors():
+    params = md.init_params(4, (4,), (2,), seed=1)
+    state = md.init_optimizer(params, base_lr=0.1)
+    tensors = list(params.named_arrays()) + [(f"opt.v.{name}", v) for name, v in state.velocity.items()]
+    return tensors + [("opt.step", [3.0]), ("opt.momentum", [0.9]), ("opt.base_lr", [0.1])]
+
+
+def write_checkpoint_tensors(path, tensors):
+    """Write (name, array) pairs in the checkpoint format, whatever they are."""
+    chunks = [struct.pack("<4sII", b"GRCO", 1, len(tensors))]
+    for name, arr in tensors:
+        arr = np.asarray(arr, dtype="<f4")
+        name_b = name.encode("utf-8")
+        chunks += [struct.pack("<H", len(name_b)), name_b, struct.pack("<B", arr.ndim),
+                   struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    path.write_bytes(b"".join(chunks))
+
+
+@pytest.mark.parametrize(
+    "name", ["enc.0.bias", "proj.0.bias", "opt.v.enc.0.weight", "opt.v.proj.0.bias", "opt.momentum"]
+)
+def test_checkpoint_rejects_a_missing_tensor(name, tmp_path):
+    # a missing bias or velocity used to raise KeyError
+    path = tmp_path / "model.ckpt"
+    write_checkpoint_tensors(path, [t for t in _checkpoint_tensors() if t[0] != name])
+    with pytest.raises(CheckpointFormatError, match=f"missing tensor '{name}'"):
+        md.checkpoint_load(path)
+
+
+@pytest.mark.parametrize("value", [[], [1.0, 2.0]])
+def test_checkpoint_rejects_an_optimizer_scalar_that_is_not_one_value(value, tmp_path):
+    # an empty opt.step used to raise IndexError
+    path = tmp_path / "model.ckpt"
+    write_checkpoint_tensors(path, [(n, value if n == "opt.step" else a) for n, a in _checkpoint_tensors()])
+    with pytest.raises(CheckpointFormatError, match="'opt.step' must hold one value"):
+        md.checkpoint_load(path)
+
+
+def test_checkpoint_rejects_a_tensor_given_twice(tmp_path):
+    # the last copy used to win silently
+    tensors = _checkpoint_tensors()
+    path = tmp_path / "model.ckpt"
+    write_checkpoint_tensors(path, tensors)
+    params, state = md.checkpoint_load(path)
+    assert state.step_count == 3 and np.array_equal(params.projection[0][0], np.asarray(tensors[2][1], "<f4"))
+    write_checkpoint_tensors(path, tensors + [(tensors[2][0], np.zeros_like(tensors[2][1]))])
+    with pytest.raises(CheckpointFormatError, match=f"tensor '{tensors[2][0]}' given twice"):
         md.checkpoint_load(path)
 
 

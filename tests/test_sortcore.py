@@ -301,10 +301,12 @@ def test_sort_matrix_gradient_is_within_1e_13_of_the_einsum_backward(n, monkeypa
 
 
 def _stride2_border_mass(rows, k, beta, g):
-    """Reference border-mass kernel with its places in order, (n, A): each
-    step compares the stride-2 rows x[lo:hi:2] and x[lo + 1:hi:2]. Returns
-    the mass of each row of `rows` (A, n) in the first k places, and the
-    value gradient for the upstream gradient `g` (A, n) on the mass."""
+    """Reference border-mass kernel with its places in order, (n, A, 1):
+    each step compares the stride-2 rows x[lo:hi:2] and x[lo + 1:hi:2].
+    Returns the mass of each row of `rows` (A, n) in the first k places,
+    the value gradient for the upstream gradient `g` (A, n) on the mass as
+    the shared adjoint forms it (swap form, one product and one slope per
+    step), and the value gradient of the stay-form adjoint it replaced."""
 
     def swap_step(x, lo, hi, stay):
         top, bottom = x[lo:hi:2], x[lo + 1 : hi : 2]
@@ -316,7 +318,7 @@ def _stride2_border_mass(rows, k, beta, g):
         return gap
 
     n = rows.shape[1]
-    v = rows.T.copy()
+    v = rows.T.copy()[:, :, None]
     steps = []
     for step in range(1, n + 1):
         lo = 1 - step % 2
@@ -325,18 +327,29 @@ def _stride2_border_mass(rows, k, beta, g):
             continue
         stay = np.arctan(-beta * (v[lo:hi:2] - v[lo + 1 : hi : 2])) * (1.0 / math.pi) + 0.5
         steps.append((lo, hi, stay, swap_step(v, lo, hi, stay)))
-    w = np.zeros((n, rows.shape[0]))
+    w = np.zeros_like(v)
     w[:k] = 1.0
     w_gaps = [swap_step(w, lo, hi, stay) for lo, hi, stay, _ in reversed(steps)][::-1]
-    u = g.T.copy()
+    u = g.T.copy()[:, :, None]
     g_stays = [swap_step(u, lo, hi, stay) * w_gap for (lo, hi, stay, _), w_gap in zip(steps, w_gaps)]
     a = np.zeros_like(u)
+    for (lo, hi, stay, gap), g_extra in zip(reversed(steps), reversed(g_stays)):
+        top, bottom = a[lo:hi:2], a[lo + 1 : hi : 2]
+        g_diff = top - bottom
+        g_stay = g_diff[..., 0] * gap[..., 0]
+        g_stay += g_extra[..., 0]
+        shift = (1.0 - stay) * g_diff
+        g_stay *= (beta * (1.0 / math.pi)) / (1.0 + np.square(beta * gap[..., 0]))
+        shift[..., -1] += g_stay
+        top -= shift
+        bottom += shift
+    stay_form = np.zeros_like(u)
     for (lo, hi, stay, gap), g_stay in zip(reversed(steps), reversed(g_stays)):
-        g_stay += swap_step(a, lo, hi, stay) * gap
+        g_stay += swap_step(stay_form, lo, hi, stay) * gap
         g_gap = g_stay * (beta * (1.0 / math.pi)) / (1.0 + np.square(beta * gap))
-        a[lo + 1 : hi : 2] += g_gap
-        a[lo:hi:2] -= g_gap
-    return w.T, a.T
+        stay_form[lo + 1 : hi : 2] += g_gap
+        stay_form[lo:hi:2] -= g_gap
+    return w[..., 0].T, a[..., 0].T, stay_form[..., 0].T
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 11, 16])
@@ -347,13 +360,16 @@ def test_border_mass_parity_major_layout_is_bitwise_the_stride2_kernel(n, monkey
         for k in sorted({1, n - 1}):
             rows = _tied_batch(rng, n) * n
             g = rng.normal(size=rows.shape)
-            expect_mass, expect_grad = _stride2_border_mass(rows, k, beta, g)
+            expect_mass, expect_grad, stay_form_grad = _stride2_border_mass(rows, k, beta, g)
             tape = dg.Tape()
             x = tape.variable(rows)
             taped = sc.border_mass(x, k, beta)
             grad = dg.backward(tape, tapeops.weighted_sum(taped, g)).grad(x)
             assert _same_bits(taped.data, expect_mass), (n, beta, k)
             assert _same_bits(grad, expect_grad), (n, beta, k)
+            # the stay-form adjoint differs only in rounding: at most 8.6e-16
+            # of its largest entry over these cases
+            assert np.max(np.abs(grad - stay_form_grad)) <= 4e-15 * np.max(np.abs(stay_form_grad)), (n, beta, k)
             assert _same_bits(sc.border_mass(rows, k, beta), expect_mass)
             for row, row_g, mass, row_grad in zip(rows, g, expect_mass, expect_grad):
                 assert _same_bits(sc.border_mass(row, k, beta), mass)
@@ -377,7 +393,8 @@ def test_border_mass_matches_sort_matrix_column_sums():
             for k in _place_counts(n):
                 mass = sc.border_mass(rows, k, beta)
                 assert mass.shape == (4, n)
-                assert np.max(np.abs(mass - p[:, :k, :].sum(axis=1))) < 1e-12, (n, beta, k)
+                # measured at most 4.2e-15 over these cases
+                assert np.max(np.abs(mass - p[:, :k, :].sum(axis=1))) < 1e-14, (n, beta, k)
                 assert np.array_equal(sc.border_mass(rows[2], k, beta), mass[2])
 
 
@@ -413,7 +430,8 @@ def test_border_mass_gradient_equals_sort_matrix_gradient(monkeypatch):
                     tape = dg.Tape()
                     x = tape.variable(rows)
                     grads.append(dg.backward(tape, tapeops.weighted_sum(op(x), w)).grad(x))
-                assert np.max(np.abs(grads[0] - grads[1])) < 1e-12, (n, beta, k)
+                # measured at most 1.2e-13 over these cases, where gradients reach 14
+                assert np.max(np.abs(grads[0] - grads[1])) < 3e-13, (n, beta, k)
 
 
 def test_diff_sort_doubly_stochastic_and_sum_conserving():
