@@ -250,33 +250,25 @@ def batch_loss(
     """Mean per-anchor loss with every view serving as the anchor once.
 
     The positive group of an anchor is the other views of its image, so its
-    size is always `batch.views_per_image - 1`. The negative group size comes
-    from `params.num_negatives` for the group-ordering loss and from
-    `num_negatives` for triplet and for InfoNCE with `infonce_top_n`; without
-    it InfoNCE uses all available negatives. Only a count that is used is
-    checked, and either count is capped at the negatives the batch holds.
-    `preorder` applies to the group-ordering loss only.
+    size is always `batch.views_per_image - 1`. The negative group size is
+    `num_negatives` for every loss, except InfoNCE without `infonce_top_n`,
+    which uses all available negatives. Only a count that is used is
+    checked, and it is capped at the negatives the batch holds. `preorder`
+    applies to the group-ordering loss only.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss_kind {loss_kind!r}, expected one of {LOSS_KINDS}")
-    if loss_kind == "groco":
-        if not isinstance(params, GroCoParams):
-            raise ValueError("groco loss requires GroCoParams")
-        effective_n = params.num_negatives
-    elif loss_kind == "infonce":
-        if not isinstance(params, InfoNCEParams):
-            raise ValueError("infonce loss requires InfoNCEParams")
-        effective_n = num_negatives if infonce_top_n else batch.views_per_image * (batch.num_images - 1)
-    else:
-        if not isinstance(params, TripletParams):
-            raise ValueError("triplet loss requires TripletParams")
-        effective_n = num_negatives
-    if effective_n < 1:
-        raise ValueError(f"num_negatives must be >= 1, got {effective_n}")
+    kind_params = {"groco": GroCoParams, "infonce": InfoNCEParams, "triplet": TripletParams}[loss_kind]
+    if not isinstance(params, kind_params):
+        raise ValueError(f"{loss_kind} loss requires {kind_params.__name__}")
+    if loss_kind == "infonce" and not infonce_top_n:
+        num_negatives = batch.views_per_image * (batch.num_images - 1)
+    if num_negatives < 1:
+        raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
 
     # only the group-ordering loss reads the order within a group
     preorder = preorder and loss_kind == "groco"
-    block, _, _ = _selected_distances(batch, effective_n, stop_grad, random_negatives, preorder, rng)
+    block, _, _ = _selected_distances(batch, num_negatives, stop_grad, random_negatives, preorder, rng)
     num_positives = batch.views_per_image - 1
     if loss_kind == "groco":
         if preorder:

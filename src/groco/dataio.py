@@ -51,9 +51,15 @@ class Dataset:
         if bad.size:
             raise ValueError(f"vectors must be finite, row {int(bad[0])} is not")
         if self.labels is not None:
-            self.labels = np.ascontiguousarray(self.labels, dtype=np.uint32)
-            if self.labels.shape != (self.vectors.shape[0],):
+            labels = np.asarray(self.labels)
+            if labels.shape != (self.vectors.shape[0],):
                 raise ValueError("labels must be one unsigned integer per vector")
+            # checked before the cast, which would wrap -1 and truncate 1.7
+            with np.errstate(invalid="ignore"):
+                bad = np.flatnonzero(~((labels >= 0) & (labels <= 0xFFFFFFFF) & (labels % 1 == 0)))
+            if bad.size:
+                raise ValueError(f"labels must be integers in 0..2**32 - 1, row {int(bad[0])} is not")
+            self.labels = np.ascontiguousarray(labels, dtype=np.uint32)
 
     @property
     def count(self) -> int:

@@ -78,10 +78,11 @@ def _result(x):
 
 @dataclass(frozen=True)
 class GroCoParams:
-    """Configuration of the group-ordering loss: inverse temperature plus the
-    negative group size the batch pipeline should assemble. The positive
-    group size is not a setting: `groco_loss` takes it from `d_pos`, and
-    the batch pipeline gives each anchor the other views of its image."""
+    """Configuration of the group-ordering loss: its inverse temperature.
+    Neither group size is a setting: `groco_loss` takes them from `d_pos`
+    and `d_neg`, and `batchpipe.batch_loss(num_negatives=...)` sets how many
+    negatives the pipeline assembles. `num_negatives` here is read by
+    nothing; it stays only while the benchmark's checks still pass it."""
 
     beta: float = 1.0
     num_negatives: int = 10

@@ -321,7 +321,7 @@ class TrainConfig:
 
     def loss_params(self):
         if self.loss_kind == "groco":
-            return GroCoParams(beta=self.beta, num_negatives=self.num_negatives)
+            return GroCoParams(beta=self.beta)
         if self.loss_kind == "infonce":
             return InfoNCEParams(tau=self.infonce_tau)
         return TripletParams(margin=self.triplet_margin)

@@ -20,9 +20,10 @@ bottom) block pair of each step that has a comparator (`_layers`).
   its swap probability.
 - `border_mass` returns only each input's mass in the first k sorted places,
   s^T P for the indicator s of those places, in O(n^2) per row. The
-  group-ordering loss uses it. Its state (n, A, 1) holds only the values;
-  `_stay_chain` runs them through the network in the stay form and then
-  pushes s back through the stored stays.
+  group-ordering loss uses it. Its state (n, A, 1) holds only the values,
+  which run through the same `_forward`; `_chain` then pushes s back
+  through the stored swaps, and its gradient pushes the adjoint of s^T P
+  forwards through them the same way.
 
 Both gradients run one adjoint loop (`_adjoint`) over the stored steps.
 
@@ -97,8 +98,9 @@ class HardPermutation:
 
     def __post_init__(self):
         m = np.asarray(self.mapping)
-        if m.ndim != 1 or sorted(m.tolist()) != list(range(m.size)):
-            raise ValueError("mapping must be a bijection on 0..n-1")
+        if m.ndim != 1 or m.dtype.kind not in "iu" or sorted(m.tolist()) != list(range(m.size)):
+            raise ValueError("mapping must be a bijection of integers on 0..n-1")
+        object.__setattr__(self, "mapping", m.astype(np.intp))
 
     @property
     def n(self) -> int:
@@ -210,22 +212,17 @@ def _forward(x: np.ndarray, beta: float, keep: bool):
     return saved
 
 
-def _stay_chain(layers, stays, beta=None) -> list[np.ndarray]:
-    """Apply one stay per compared pair at each of `layers`, in place and in
-    the order given: x_i, x_j <- x_j + stay * (x_i - x_j), x_i - stay *
-    (x_i - x_j), the step of `_forward` with stay = 1 - swap. Returns each
-    step's gap x_i - x_j from before it. With `beta`, each stay is first
-    computed from its gap, as f(x_j - x_i), and appended to `stays`: the
-    value chain of the network."""
+def _chain(layers, saved) -> list[np.ndarray]:
+    """Apply the swaps of the steps `saved` by `_forward` at each of
+    `layers`, in place and in the order given, in `_forward`'s step form:
+    x_i -= swap * (x_i - x_j) and x_j += swap * (x_i - x_j). Returns each
+    step's gap x_i - x_j from before it."""
     gaps = []
-    for step, (top, bottom) in enumerate(layers):
+    for (top, bottom), (swap, _, _) in zip(layers, saved):
         gap = top - bottom
-        if beta is not None:
-            stays.append(np.arctan(-beta * gap) * _INV_PI + 0.5)
-        shift = stays[step] * gap
-        new_top = bottom + shift
-        np.subtract(top, shift, out=bottom)
-        top[...] = new_top
+        shift = swap * gap
+        top -= shift
+        bottom += shift
         gaps.append(gap)
     return gaps
 
@@ -314,23 +311,17 @@ def sort_matrix(values, beta: float):
 
 def _vjp_border_mass(node, g):
     """The mass is s^T P = S_1 ... S_T s for the step matrices S_t, each
-    symmetric and linear given its stays. The adjoint u of that chain runs
-    the steps forwards, so each stay gets (u_i - u_j)(w_i - w_j) from the
-    mass, with the gaps of w that the forward stored. `_adjoint` then runs
-    the value chain backwards from a zero state and adds that term to each
-    stay's gradient."""
+    symmetric and linear given its swaps. The adjoint u of that chain runs
+    the steps forwards, so each stay 1 - swap gets (u_i - u_j)(w_i - w_j)
+    from the mass, with the gaps of w that the forward stored. `_adjoint`
+    then runs the value chain backwards from a zero state and adds that
+    term to each stay's gradient."""
     x = node.inputs[0]
     n = x.shape[-1]
-    beta, stays, gaps = node.attrs["beta"], node.attrs["stays"], node.attrs["gaps"]
+    saved = node.attrs["saved"]
     u = np.empty((n, x.size // n, 1))
     _parity_places(np.reshape(g, (-1, n)), u[..., 0])
-    u_gaps = _stay_chain(_layers(u), stays)
-    stay_grads = [(u_gap * w_gap)[..., 0] for u_gap, w_gap in zip(u_gaps, node.attrs["w_gaps"])]
-    # each value step as `_forward` keeps it: swap, gap and d swap / d gap
-    saved = [
-        (1.0 - stay, gap, (beta * _INV_PI) / (1.0 + np.square(beta * gap[..., 0])))
-        for stay, gap in zip(stays, gaps)
-    ]
+    stay_grads = [(u_gap * w_gap)[..., 0] for u_gap, w_gap in zip(_chain(_layers(u), saved), node.attrs["w_gaps"])]
     a = np.zeros_like(u)
     _adjoint(a, saved, stay_grads)
     return (_ordered_places(a[..., 0], np.empty((u.shape[1], n))).reshape(x.shape),)
@@ -345,7 +336,7 @@ def border_mass(values, num_positives: int, beta: float):
     sums of `sort_matrix` over its first `num_positives` rows, same shape as
     the input.
 
-    The network runs on the values alone and stores its stays; the place
+    The network runs on the values alone and stores its swaps; the place
     indicator then goes back through the steps as one vector per row, so no
     n x n state is built. A `diffgrad.Tensor` input is recorded as one op.
     """
@@ -358,18 +349,17 @@ def border_mass(values, num_positives: int, beta: float):
     rows = arr.reshape(-1, n)
     v = np.empty((n, rows.shape[0], 1))
     _parity_places(rows, v[..., 0])
-    stays = []
-    gaps = _stay_chain(_layers(v), stays, beta)
+    saved = _forward(v, beta, keep=True)
     # the indicator of the first k places: places 0, 2, ... < k lead the
     # even block and places 1, 3, ... < k the odd one
     w = np.zeros_like(v)
     w[: (k + 1) // 2] = 1.0
     w[(n + 1) // 2 : (n + 1) // 2 + k // 2] = 1.0
     # P = S_T ... S_1 with symmetric S_t, so s^T P = S_1 ... S_T s
-    w_gaps = _stay_chain(reversed(_layers(w)), stays[::-1])[::-1]
+    w_gaps = _chain(_layers(w)[::-1], saved[::-1])[::-1]
     mass = _ordered_places(w[..., 0], np.empty(rows.shape)).reshape(arr.shape)
     if isinstance(values, Tensor):
-        return values.tape._append("border_mass", (values,), mass, beta=beta, stays=stays, gaps=gaps, w_gaps=w_gaps)
+        return values.tape._append("border_mass", (values,), mass, saved=saved, w_gaps=w_gaps)
     return mass
 
 

@@ -5,6 +5,7 @@ shares no code path with the package: dense per-pair swap matrices multiplied
 step by step, naive loss summations, exhaustive k-NN voting.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -62,6 +63,23 @@ def oracle_diff_sort(values, beta):
         p_total = matmul_loops(p_step, p_total)
         v = matvec_loops(p_step, v)
     return np.array(v), np.array(p_total)
+
+
+def oracle_border_mass(values, k, beta):
+    """Column sums of the first k rows of the dense step-matrix product P of
+    `oracle_diff_sort`, each swap probability from `cmath.atan`, so complex
+    values give the complex-step derivative: Im f(x + ih) / h."""
+    v = [complex(x) for x in values]
+    n = len(v)
+    p_total = [[1.0 if r == c else 0.0 for c in range(n)] for r in range(n)]
+    for step in range(1, n + 1):
+        p_step = [[1.0 if r == c else 0.0 for c in range(n)] for r in range(n)]
+        for i, j in oracle_step_pairs(n, step):
+            p_step[i][i] = p_step[j][j] = cmath.atan(beta * (v[j] - v[i])) / math.pi + 0.5
+            p_step[i][j] = p_step[j][i] = cmath.atan(beta * (v[i] - v[j])) / math.pi + 0.5
+        p_total = matmul_loops(p_step, p_total)
+        v = matvec_loops(p_step, v)
+    return [sum(p_total[r][c] for r in range(k)) for c in range(n)]
 
 
 def oracle_bce(p, q, eps=1e-7):

@@ -161,7 +161,7 @@ def test_criterion_5_gradient_fidelity():
         start = block.shape[1] * 1  # block row 1: anchor 1's positive, then its negatives
         d_pos = dg.index_select(block, start + np.arange(1))
         d_neg = dg.index_select(block, start + np.arange(1, block.shape[1]))
-        loss = ls.groco_loss(d_pos, d_neg, GroCoParams(beta=1.0, num_negatives=4))
+        loss = ls.groco_loss(d_pos, d_neg, GroCoParams(beta=1.0))
         grads = dg.backward(tape, loss).grad(batch.projections)
         assert np.any(grads[1] != 0.0)
         for row in (0, 2, 3, 4, 5):
@@ -216,7 +216,7 @@ def test_criterion_7_toy_dynamics_property():
         init = [0.0, 0.6, 0.3, 0.0, -0.3]
         far = 1 + int(np.argmin(init[1:]))
         for lr, steps, beta, tau in TOY_GRID:
-            tg = ev.toy_dynamics("groco", init, steps, lr, GroCoParams(beta=beta, num_negatives=4))
+            tg = ev.toy_dynamics("groco", init, steps, lr, GroCoParams(beta=beta))
             ti = ev.toy_dynamics("infonce", init, steps, lr, InfoNCEParams(tau=tau))
             move_g = abs(tg.similarities[-1, far] - tg.similarities[0, far])
             move_i = abs(ti.similarities[-1, far] - ti.similarities[0, far])

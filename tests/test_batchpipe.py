@@ -197,7 +197,7 @@ def test_stop_grad_zeroes_non_anchor_gradients():
     rng = np.random.default_rng(45)
     batch, tape, raw = _make_batch(rng, images=3, views=2, as_tensor=True)
     block, _, _ = _groups(batch, 3, stop_grad=True)
-    loss = ls.groco_loss(*_anchor_row(block, 1, 2), GroCoParams(beta=1.0, num_negatives=3))
+    loss = ls.groco_loss(*_anchor_row(block, 1, 2), GroCoParams(beta=1.0))
     grads = dg.backward(tape, loss).grad(batch.projections)
     for row in range(raw.shape[0]):
         if row == 2:
@@ -210,7 +210,7 @@ def test_without_stop_grad_others_receive_gradient():
     rng = np.random.default_rng(46)
     batch, tape, raw = _make_batch(rng, images=3, views=2, as_tensor=True)
     block, _, _ = _groups(batch, 3, stop_grad=False)
-    loss = ls.groco_loss(*_anchor_row(block, 1, 2), GroCoParams(beta=1.0, num_negatives=3))
+    loss = ls.groco_loss(*_anchor_row(block, 1, 2), GroCoParams(beta=1.0))
     grads = dg.backward(tape, loss).grad(batch.projections)
     touched = [row for row in range(raw.shape[0]) if np.any(grads[row] != 0.0)]
     assert 2 in touched and len(touched) > 1
@@ -223,11 +223,11 @@ def test_batch_gradient_is_sum_of_anchor_gradients():
     images, views = 3, 2
     raw = rng.normal(size=(images * views, 4))
     image_id = np.repeat(np.arange(images), views)
-    params = GroCoParams(beta=1.0, num_negatives=3)
+    params = GroCoParams(beta=1.0)
 
     tape = Tape()
     batch = bp.ViewBatch(tape.variable(raw), image_id, views)
-    total = bp.batch_loss(batch, "groco", params)
+    total = bp.batch_loss(batch, "groco", params, num_negatives=3)
     g_total = dg.backward(tape, total).grad(batch.projections)
 
     tape = Tape()
@@ -250,8 +250,8 @@ def test_batch_gradient_is_sum_of_anchor_gradients():
 def test_batch_loss_equals_mean_of_anchor_losses():
     rng = np.random.default_rng(48)
     batch = _make_batch(rng, images=4, views=2)
-    params = GroCoParams(beta=1.0, num_negatives=4)
-    total = bp.batch_loss(batch, "groco", params)
+    params = GroCoParams(beta=1.0)
+    total = bp.batch_loss(batch, "groco", params, num_negatives=4)
     block, _, _ = _groups(batch, 4)
     per_anchor = [ls.groco_loss(row[:1], row[1:], params) for row in block]
     assert abs(total - float(np.mean(per_anchor))) < 1e-12
@@ -260,7 +260,7 @@ def test_batch_loss_equals_mean_of_anchor_losses():
 def test_batch_loss_identical_projections_gives_equal_distance_case():
     proj = np.tile(np.array([1.0, 2.0, 0.5]), (4, 1))
     batch = bp.ViewBatch(proj, np.array([0, 0, 1, 1]), 2)
-    got = bp.batch_loss(batch, "groco", GroCoParams(beta=1.0, num_negatives=10))
+    got = bp.batch_loss(batch, "groco", GroCoParams(beta=1.0))
     expect = oracle_groco([-1.0], [-1.0, -1.0], 1.0)
     assert abs(got - expect) < 1e-12
 
@@ -270,7 +270,7 @@ def test_batch_loss_single_anchor_hand_computation():
     proj = np.array([[1.0, 0.0], [0.8, 0.6], [0.0, 1.0], [-1.0, 0.0]])
     image_id = np.array([0, 0, 1, 1])
     batch = bp.ViewBatch(proj, image_id, 2)
-    params = GroCoParams(beta=1.0, num_negatives=10)
+    params = GroCoParams(beta=1.0)
     manual = []
     for anchor in range(4):
         d = {j: _cosine_distance(proj[anchor], proj[j]) for j in range(4) if j != anchor}
@@ -285,11 +285,11 @@ def test_loss_invariant_under_view_permutation():
     rng = np.random.default_rng(49)
     raw = rng.normal(size=(8, 5))
     image_id = np.repeat(np.arange(4), 2)
-    params = GroCoParams(beta=1.0, num_negatives=6)
-    base = bp.batch_loss(bp.ViewBatch(raw, image_id, 2), "groco", params)
+    params = GroCoParams(beta=1.0)
+    base = bp.batch_loss(bp.ViewBatch(raw, image_id, 2), "groco", params, num_negatives=6)
     for _ in range(5):
         perm = rng.permutation(8)
-        shuffled = bp.batch_loss(bp.ViewBatch(raw[perm], image_id[perm], 2), "groco", params)
+        shuffled = bp.batch_loss(bp.ViewBatch(raw[perm], image_id[perm], 2), "groco", params, num_negatives=6)
         assert abs(base - shuffled) < 1e-12
 
 
@@ -297,7 +297,7 @@ def test_random_negatives_needs_rng_and_is_seeded():
     rng = np.random.default_rng(50)
     batch = _make_batch(rng, images=5, views=2)
     with pytest.raises(ValueError):
-        bp.batch_loss(batch, "groco", GroCoParams(num_negatives=3), random_negatives=True)
+        bp.batch_loss(batch, "groco", GroCoParams(), num_negatives=3, random_negatives=True)
     b1, _, n1 = _groups(batch, 3, random_negatives=True, rng=np.random.default_rng(7))
     b2, _, n2 = _groups(batch, 3, random_negatives=True, rng=np.random.default_rng(7))
     assert np.array_equal(n1, n2) and np.array_equal(b1, b2)
@@ -311,23 +311,23 @@ def test_preorder_off_keeps_batch_order():
     assert np.all(np.diff(pos, axis=1) > 0)
     assert np.all(np.diff(neg, axis=1) > 0)
     # batch loss still computes through the unordered path
-    val = bp.batch_loss(batch, "groco", GroCoParams(beta=1.0, num_negatives=9), preorder=False)
+    val = bp.batch_loss(batch, "groco", GroCoParams(beta=1.0), num_negatives=9, preorder=False)
     assert np.isfinite(val) and val > 0
 
 
 def test_preorder_check_rejects_a_descending_group(monkeypatch):
     plain = _make_batch(np.random.default_rng(53), images=6, views=3)
     taped, _, _ = _make_batch(np.random.default_rng(53), images=6, views=3, as_tensor=True)
-    params = GroCoParams(beta=1.0, num_negatives=5)
-    assert np.isfinite(bp.batch_loss(plain, "groco", params))
+    params = GroCoParams(beta=1.0)
+    assert np.isfinite(bp.batch_loss(plain, "groco", params, num_negatives=5))
     # without the ascending reorder both groups arrive in column order
     monkeypatch.setattr(bp, "_ascending", lambda raw, cols: cols)
     block, _, _ = _groups(plain, 5)
     assert np.any(np.diff(block[:, :2], axis=1) < 0) and np.any(np.diff(block[:, 2:], axis=1) < 0)
     for batch in (plain, taped):
         with pytest.raises(ValueError, match="non-descending"):
-            bp.batch_loss(batch, "groco", params)
-    assert np.isfinite(bp.batch_loss(plain, "groco", params, preorder=False))
+            bp.batch_loss(batch, "groco", params, num_negatives=5)
+    assert np.isfinite(bp.batch_loss(plain, "groco", params, num_negatives=5, preorder=False))
 
 
 def test_preorder_check_reads_each_group_and_skips_the_border():
@@ -393,11 +393,10 @@ def test_batch_loss_checks_only_the_negative_count_it_uses():
     rng = np.random.default_rng(55)
     batch = _make_batch(rng, images=3, views=2)
     for count in (0, -1):
-        # the group-ordering loss reads params.num_negatives, and InfoNCE
-        # without infonce_top_n takes every negative: the keyword is unused
-        for kind, params in (("groco", GroCoParams(num_negatives=4)), ("infonce", InfoNCEParams())):
-            assert bp.batch_loss(batch, kind, params, num_negatives=count) == bp.batch_loss(batch, kind, params)
-        for kind, params in (("infonce", InfoNCEParams()), ("triplet", TripletParams())):
+        # InfoNCE without infonce_top_n takes every negative: the keyword is unused
+        params = InfoNCEParams()
+        assert bp.batch_loss(batch, "infonce", params, num_negatives=count) == bp.batch_loss(batch, "infonce", params)
+        for kind, params in (("groco", GroCoParams()), ("infonce", InfoNCEParams()), ("triplet", TripletParams())):
             with pytest.raises(ValueError, match="num_negatives"):
                 bp.batch_loss(batch, kind, params, num_negatives=count, infonce_top_n=True)
 
@@ -407,7 +406,7 @@ def test_zero_norm_projection_reports_view():
     proj[2] = 0.0
     batch = bp.ViewBatch(proj, np.array([0, 0, 1, 1]), 2)
     with pytest.raises(NumericError, match="view 2"):
-        bp.batch_loss(batch, "groco", GroCoParams(num_negatives=2))
+        bp.batch_loss(batch, "groco", GroCoParams(), num_negatives=2)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -418,7 +417,7 @@ def test_non_finite_projection_norm_reports_view(bad):
     batch = bp.ViewBatch(proj, np.array([0, 0, 1, 1]), 2)
     tape = Tape()
     taped = bp.ViewBatch(tape.variable(proj), batch.image_id, 2)
-    for kind, params in (("groco", GroCoParams(num_negatives=2)), ("infonce", InfoNCEParams()),
+    for kind, params in (("groco", GroCoParams()), ("infonce", InfoNCEParams()),
                          ("triplet", TripletParams())):
         for b in (batch, taped):
             with pytest.raises(NumericError, match="non-finite projection norm for view 1"):
@@ -527,7 +526,7 @@ def test_batch_loss_matches_per_anchor_oracles_with_ties():
         image_id = np.repeat(np.arange(12 // views), views)
         unit = raw / np.sqrt(np.sum(raw * raw, axis=1, keepdims=True))
         cases = (
-            ("groco", GroCoParams(beta=1.5, num_negatives=4), 4,
+            ("groco", GroCoParams(beta=1.5), 4,
              lambda p, n: oracle_groco(p, n, 1.5)),
             ("infonce", InfoNCEParams(tau=0.3), 12 - views, lambda p, n: oracle_infonce(p, n, 0.3)),
             ("triplet", TripletParams(margin=0.8), 3, lambda p, n: oracle_triplet(p, n, 0.8)),
@@ -604,7 +603,7 @@ def test_selected_distances_match_the_dense_chain(monkeypatch):
         image_id = rng.permutation(np.repeat(np.arange(images), views))
         all_negatives = views * (images - 1)
         cases = (
-            ("groco", GroCoParams(beta=1.5, num_negatives=4), 4),
+            ("groco", GroCoParams(beta=1.5), 4),
             ("infonce", InfoNCEParams(tau=0.3), all_negatives),
             ("triplet", TripletParams(margin=0.8), 3),
         )

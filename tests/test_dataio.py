@@ -234,6 +234,13 @@ def test_dataset_validation():
         vectors[1, 0] = bad
         with pytest.raises(ValueError, match="vectors must be finite, row 1 is not"):
             Dataset(vectors)
+    for bad in (-1, 1.7, np.nan, np.inf, 2.0**32):
+        with pytest.raises(ValueError, match=r"labels must be integers in 0..2\*\*32 - 1, row 1 is not"):
+            Dataset(np.ones((3, 2)), np.array([2.0, bad, 0.0]))
+    with pytest.raises(ValueError, match="row 0 is not"):
+        Dataset(np.ones((2, 2)), np.array([-1, 2]))
+    kept = Dataset(np.ones((3, 2)), np.array([2.0, 2.0**32 - 1, 0.0])).labels
+    assert kept.dtype == np.uint32 and kept.tolist() == [2, 2**32 - 1, 0]
 
 
 def test_synth_config_validation():

@@ -410,14 +410,14 @@ TOY_INIT = [0.0, 0.6, 0.3, 0.0, -0.3]
 
 
 def test_toy_dynamics_zero_lr_constant():
-    traj = ev.toy_dynamics("groco", TOY_INIT, 20, 0.0, GroCoParams(beta=2.0, num_negatives=4))
+    traj = ev.toy_dynamics("groco", TOY_INIT, 20, 0.0, GroCoParams(beta=2.0))
     assert np.array_equal(traj.similarities, np.tile(TOY_INIT, (21, 1)))
 
 
 def test_toy_dynamics_symmetric_start_signs():
     init = [0.2, 0.2, 0.2, 0.2, 0.2]
     for kind, params in (
-        ("groco", GroCoParams(beta=2.0, num_negatives=4)),
+        ("groco", GroCoParams(beta=2.0)),
         ("infonce", InfoNCEParams(tau=0.5)),
     ):
         traj = ev.toy_dynamics(kind, init, 5, 0.05, params)
@@ -427,14 +427,14 @@ def test_toy_dynamics_symmetric_start_signs():
 
 
 def test_toy_dynamics_positive_nondecreasing_both_losses():
-    tg = ev.toy_dynamics("groco", TOY_INIT, 300, 0.05, GroCoParams(beta=2.0, num_negatives=4))
+    tg = ev.toy_dynamics("groco", TOY_INIT, 300, 0.05, GroCoParams(beta=2.0))
     ti = ev.toy_dynamics("infonce", TOY_INIT, 300, 0.05, InfoNCEParams(tau=0.5))
     assert np.min(np.diff(tg.similarities[:, 0])) >= -1e-12
     assert np.min(np.diff(ti.similarities[:, 0])) >= -1e-12
 
 
 def test_toy_dynamics_farthest_negative_moves_less_under_groco():
-    tg = ev.toy_dynamics("groco", TOY_INIT, 300, 0.05, GroCoParams(beta=2.0, num_negatives=4))
+    tg = ev.toy_dynamics("groco", TOY_INIT, 300, 0.05, GroCoParams(beta=2.0))
     ti = ev.toy_dynamics("infonce", TOY_INIT, 300, 0.05, InfoNCEParams(tau=0.5))
     far = int(np.argmin(TOY_INIT[1:])) + 1
     move_g = abs(tg.similarities[-1, far] - tg.similarities[0, far])
@@ -443,7 +443,7 @@ def test_toy_dynamics_farthest_negative_moves_less_under_groco():
 
 
 def test_toy_dynamics_equal_lengths_across_losses():
-    tg = ev.toy_dynamics("groco", TOY_INIT, 50, 0.05, GroCoParams(beta=2.0, num_negatives=4))
+    tg = ev.toy_dynamics("groco", TOY_INIT, 50, 0.05, GroCoParams(beta=2.0))
     ti = ev.toy_dynamics("infonce", TOY_INIT, 50, 0.05, InfoNCEParams(tau=0.5))
     assert tg.similarities.shape == ti.similarities.shape == (51, 5)
 
@@ -456,13 +456,13 @@ def test_toy_dynamics_rejects_unknown_loss():
 @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
 def test_toy_dynamics_rejects_negative_or_non_finite_lr(lr):
     # a negative lr used to run gradient ascent
-    for kind, params in (("groco", GroCoParams(beta=2.0, num_negatives=4)), ("infonce", InfoNCEParams(tau=0.5))):
+    for kind, params in (("groco", GroCoParams(beta=2.0)), ("infonce", InfoNCEParams(tau=0.5))):
         with pytest.raises(ValueError, match="lr must be finite and >= 0"):
             ev.toy_dynamics(kind, TOY_INIT, 3, lr, params)
 
 
 def test_trajectory_csv_format(tmp_path):
-    traj = ev.toy_dynamics("groco", TOY_INIT, 3, 0.05, GroCoParams(beta=2.0, num_negatives=4))
+    traj = ev.toy_dynamics("groco", TOY_INIT, 3, 0.05, GroCoParams(beta=2.0))
     path = tmp_path / "traj.csv"
     ev.write_trajectory_csv(traj, path)
     lines = path.read_text().strip().splitlines()

@@ -65,7 +65,7 @@ def test_groco_rejects_unsorted_groups():
     with pytest.raises(ValueError):
         ls.groco_loss([0.1], [0.5, 0.4], GroCoParams())
     # ties inside a group are fine
-    ls.groco_loss([0.1, 0.1], [0.5, 0.5], GroCoParams(num_negatives=2))
+    ls.groco_loss([0.1, 0.1], [0.5, 0.5], GroCoParams())
 
 
 def test_groco_nonnegative_and_hard_limit():
