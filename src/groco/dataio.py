@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diffgrad import check_count
+
 __all__ = [
     "Dataset",
     "SynthConfig",
@@ -84,6 +86,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("clusters", "dim", "per_cluster"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name))  # frozen
         if self.clusters < 1 or self.dim < 1 or self.per_cluster < 1:
             raise ValueError("clusters, dim, per_cluster must be positive")
         if not (math.isfinite(self.center_scale) and self.center_scale > 0):

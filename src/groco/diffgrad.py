@@ -18,6 +18,11 @@ package (the relaxed sorting network in `sortcore`, the cosine distances
 of the selected groups in `batchpipe`, the clamped binary cross-entropy and
 the InfoNCE and triplet losses in `losses`) records itself with
 `Tape._append` and adds its rule to this table beside its forward.
+
+Two helpers the other modules share sit here too: `check_count`, which
+rejects a count that is not a whole number at a public boundary, and
+`row_blocks`, the row spans that the batch pipeline and the model's
+forward walk.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ __all__ = [
     "scale",
     "concat",
     "index_select",
+    "check_count",
+    "row_blocks",
 ]
 
 
@@ -52,6 +59,32 @@ class NumericError(ArithmeticError):
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
+
+
+def check_count(value, name: str) -> int:
+    """`value` as an int. A value that is not a whole number (2.5, NaN, a
+    string) raises `ValueError` naming `name`, where `int()` would truncate
+    it or numpy would fail with a `TypeError`; 2.0 passes as 2."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return count
+
+
+def row_blocks(count: int, block: int) -> list[slice]:
+    """Spans that cover rows 0..count-1 in ceil(count / block) consecutive
+    blocks whose sizes differ by at most one row. So no block of a
+    multi-row input has one row: numpy runs a one-row matmul as a
+    matrix-vector product, which rounds differently. With OpenBLAS such
+    blocks give each row the bits of one full-height matmul, except in the
+    last (columns mod 8) columns of a product whose column count is not a
+    multiple of 8, which its kernel rounds according to the row count."""
+    parts = max(1, -(-count // block))
+    edges = [i * count // parts for i in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 class Tensor:

@@ -103,6 +103,7 @@ def knn_predict(train_embeds, train_labels, query, k: int, weight_tau: float = K
     for its class, for a finite `weight_tau` > 0; neighbor ties break toward
     the lower index and class-score ties toward the smaller class id.
     """
+    k = dg.check_count(k, "k")
     return int(_knn_predictions(train_embeds, train_labels, query, (k,), weight_tau)[k][0])
 
 
@@ -120,7 +121,7 @@ def knn_accuracies(
     row blocks, so memory grows as block rows x train points plus test
     points x largest k, never as test points x train points. An empty test
     set is a `ValueError`."""
-    ks = [int(k) for k in ks]
+    ks = [dg.check_count(k, "k") for k in ks]
     if not ks:
         raise ValueError("ks must name at least one k")
     test_labels = np.asarray(test_labels)
@@ -140,7 +141,8 @@ def knn_accuracy(
     weight_tau: float = KNN_WEIGHT_TAU,
 ) -> float:
     """Fraction of test points whose weighted k-NN vote matches their label."""
-    return knn_accuracies(train_embeds, train_labels, test_embeds, test_labels, (k,), weight_tau)[int(k)]
+    k = dg.check_count(k, "k")
+    return knn_accuracies(train_embeds, train_labels, test_embeds, test_labels, (k,), weight_tau)[k]
 
 
 def _probe_weights(x, label_index, class_count: int, steps: int, lr: float) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +224,7 @@ def linear_probe(
         raise ValueError(f"test embedding width {xt.shape[1]} differs from train width {x.shape[1]}")
     _check_finite(x, "train_embeds")
     _check_finite(xt, "test_embeds")
+    steps = dg.check_count(steps, "steps")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not (math.isfinite(lr) and lr > 0):
@@ -254,14 +257,19 @@ def toy_dynamics(loss_kind: str, init_similarities, steps: int, lr: float, param
     The first variable is the positive similarity, the rest are negatives;
     losses see distances d = -s. For the group-ordering loss, negatives are
     re-ordered ascending by distance at every step (a hard reindex, exactly as
-    in the batch pipeline). `lr` must be finite and >= 0; at 0 every row
-    is the initialization.
+    in the batch pipeline). `params` is `GroCoParams` for "groco" and
+    `InfoNCEParams` for "infonce". `lr` must be finite and >= 0; at 0 every
+    row is the initialization.
     """
-    if loss_kind not in ("groco", "infonce"):
+    kind_params = {"groco": losses.GroCoParams, "infonce": losses.InfoNCEParams}.get(loss_kind)
+    if kind_params is None:
         raise ValueError(f"unknown loss_kind {loss_kind!r}, expected 'groco' or 'infonce'")
+    if not isinstance(params, kind_params):
+        raise ValueError(f"{loss_kind} loss requires {kind_params.__name__}")
     sims = np.asarray(init_similarities, dtype=np.float64).copy()
     if sims.ndim != 1 or sims.size < 2:
         raise ValueError("need one positive and at least one negative similarity")
+    steps = dg.check_count(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not (math.isfinite(lr) and lr >= 0):

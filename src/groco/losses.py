@@ -184,7 +184,7 @@ def _group_loss(d, num_positives: int, beta: float):
 
 
 def _check_split(arr: np.ndarray, num_positives: int) -> int:
-    k = int(num_positives)
+    k = dg.check_count(num_positives, "num_positives")
     if not (1 <= k < arr.shape[-1]):
         raise ValueError(f"need 1 <= num_positives < {arr.shape[-1]}, got {k}")
     return k

@@ -81,7 +81,7 @@ def init_params(
 ) -> ModelParams:
     """Xavier-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases,
     deterministic per seed."""
-    dims = [int(input_dim), *map(int, encoder_widths), *map(int, projection_widths)]
+    dims = [dg.check_count(d, "layer dims") for d in (input_dim, *encoder_widths, *projection_widths)]
     if any(d <= 0 for d in dims):
         raise ValueError(f"all layer dims must be positive, got {dims}")
     if not encoder_widths or not projection_widths:
@@ -94,6 +94,12 @@ def init_params(
         layers.append((w, np.zeros(fan_out, dtype=np.float64)))
     n_enc = len(encoder_widths)
     return ModelParams(encoder=layers[:n_enc], projection=layers[n_enc:])
+
+
+# Input rows per block of `forward`. One eval pass's forwards (1,280 + 320
+# rows, default widths, one BLAS thread, 2-core x86 VM) took 3.99 / 4.81 /
+# 4.82 ms at 128 / 256 / 512 rows, against 4.28 ms unblocked.
+FORWARD_BLOCK = 128
 
 
 def _forward_core(encoder, projection, x):
@@ -117,15 +123,20 @@ def _forward_core(encoder, projection, x):
 def forward(params: ModelParams, x):
     """Map inputs to (representation, projection). Accepts a single vector or
     a (n, D_in) batch; the representation is the encoder output before the
-    projection head."""
+    projection head. The rows run through the network `FORWARD_BLOCK` at a
+    time into the two output arrays, so only one block's hidden activations
+    are held at once."""
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != params.input_dim:
         raise ValueError(f"expected input dim {params.input_dim}, got shape {np.shape(x)}")
-    h, proj = _forward_core(params.encoder, params.projection, arr)
-    rep = dg.affine(h, *params.encoder[-1], relu=False)
+    rep = np.empty((arr.shape[0], params.encoder[-1][0].shape[1]))
+    proj = np.empty((arr.shape[0], params.projection[-1][0].shape[1]))
+    for rows in dg.row_blocks(arr.shape[0], FORWARD_BLOCK):
+        h, proj[rows] = _forward_core(params.encoder, params.projection, arr[rows])
+        rep[rows] = dg.affine(h, *params.encoder[-1], relu=False)
     if single:
         return rep[0], proj[0]
     return rep, proj
@@ -307,6 +318,8 @@ class TrainConfig:
     projection_widths: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "views", "num_negatives", "warmup_epochs"):
+            setattr(self, name, dg.check_count(getattr(self, name), name))
         if self.epochs < 1 or self.batch_size < 2 or self.views < 2:
             raise ValueError("need epochs >= 1, batch_size >= 2, views >= 2")
         if self.loss_kind not in batchpipe.LOSS_KINDS:

@@ -343,7 +343,7 @@ def border_mass(values, num_positives: int, beta: float):
     beta = _check_beta(beta)
     arr = _check_values(values.data if isinstance(values, Tensor) else values, max_ndim=2)
     n = arr.shape[-1]
-    k = int(num_positives)
+    k = dg.check_count(num_positives, "num_positives")
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= num_positives <= {n}, got {k}")
     rows = arr.reshape(-1, n)

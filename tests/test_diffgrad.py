@@ -431,3 +431,62 @@ def test_central_difference_oracle_agrees_with_grad_check_numeric(monkeypatch):
     report = dg.grad_check(fn, point)
     expected = central_difference(lambda p: float(np.sum(sc.sort_matrix(p, 1.0) * weights)), point)
     assert np.max(np.abs(report.numeric - expected)) < 1e-12
+
+
+def test_row_blocks_cover_every_row_in_near_equal_blocks():
+    for count in (0, 1, 2, 5, 127, 128, 129, 256, 257, 4097):
+        blocks = dg.row_blocks(count, 128)
+        assert blocks[0].start == 0 and blocks[-1].stop == count
+        assert all(a.stop == b.start for a, b in zip(blocks[:-1], blocks[1:]))
+        sizes = [s.stop - s.start for s in blocks]
+        assert len(blocks) == max(1, -(-count // 128)) and max(sizes) - min(sizes) <= 1 and max(sizes) <= 128
+        assert count < 2 or min(sizes) >= 2, count  # never a one-row block of a multi-row input
+
+
+def _count_cases():
+    """(name, call) pairs: each call passes a count that is not a whole
+    number to one public boundary."""
+    rng = np.random.default_rng(75)
+    rows = np.sort(rng.normal(size=(3, 5)), axis=1)
+    embeds, labels = rng.normal(size=(6, 3)), np.array([0, 1, 0, 1, 0, 1])
+    batch = bp.ViewBatch(rng.normal(size=(6, 3)), np.repeat(np.arange(3), 2), 2)
+    toy = np.array([0.0, 0.5, -0.2])
+    return [
+        ("num_positives", lambda: sc.border_mass(rows, 2.9, 1.0)),
+        ("num_positives", lambda: ls.group_loss_from_concat(rows, 1.7, 1.0)),
+        ("num_positives", lambda: ls.infonce_from_concat(rows, 1.7, InfoNCEParams())),
+        ("num_positives", lambda: ls.triplet_from_concat(rows, 1.7, TripletParams())),
+        ("num_positives", lambda: ls.groco_from_raw_distances(rows, 1.7, 1.0)),
+        ("k", lambda: ev.knn_accuracies(embeds, labels, embeds, labels, [1.5])),
+        ("k", lambda: ev.knn_accuracy(embeds, labels, embeds, labels, 1.5)),
+        ("k", lambda: ev.knn_predict(embeds, labels, embeds[0], 1.5)),
+        ("views_per_image", lambda: bp.ViewBatch(batch.projections, batch.image_id, 2.5)),
+        ("num_negatives", lambda: bp.batch_loss(batch, "groco", GroCoParams(), num_negatives=2.5)),
+        ("num_negatives", lambda: bp.select_top_negatives(rows, 2.5)),
+        ("steps", lambda: ev.linear_probe(embeds, labels, embeds, labels, steps=2.5)),
+        ("steps", lambda: ev.toy_dynamics("groco", toy, 2.5, 0.1, GroCoParams())),
+        ("epochs", lambda: md.TrainConfig(epochs=2.5)),
+        ("batch_size", lambda: md.TrainConfig(batch_size=64.5)),
+        ("views", lambda: md.TrainConfig(views=2.5)),
+        ("num_negatives", lambda: md.TrainConfig(num_negatives=4.5)),
+        ("warmup_epochs", lambda: md.TrainConfig(warmup_epochs=0.5)),
+        ("layer dims", lambda: md.init_params(4, (2.5,), (3,))),
+        ("clusters", lambda: dio.SynthConfig(clusters=2.5)),
+        ("per_cluster", lambda: dio.SynthConfig(per_cluster=10.5)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(_count_cases())))
+def test_public_counts_reject_a_value_that_is_not_a_whole_number(index):
+    # each of these used to truncate the count (2.9 ran as 2) or fail with
+    # a TypeError from inside numpy or `range`
+    name, call = _count_cases()[index]
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+        call()
+
+
+def test_check_count_keeps_whole_numbers_of_any_type():
+    assert [dg.check_count(v, "n") for v in (3, np.int64(3), 3.0, np.float32(3.0))] == [3, 3, 3, 3]
+    for bad in (2.5, float("nan"), float("inf"), "3", None):
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            dg.check_count(bad, "n")

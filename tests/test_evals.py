@@ -453,6 +453,14 @@ def test_toy_dynamics_rejects_unknown_loss():
         ev.toy_dynamics("triplet", TOY_INIT, 10, 0.05, None)
 
 
+def test_toy_dynamics_rejects_the_other_loss_params():
+    # these used to fail at the first step with AttributeError on 'beta' or 'tau'
+    with pytest.raises(ValueError, match="groco loss requires GroCoParams"):
+        ev.toy_dynamics("groco", TOY_INIT, 3, 0.05, InfoNCEParams(tau=0.5))
+    with pytest.raises(ValueError, match="infonce loss requires InfoNCEParams"):
+        ev.toy_dynamics("infonce", TOY_INIT, 3, 0.05, GroCoParams(beta=2.0))
+
+
 @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
 def test_toy_dynamics_rejects_negative_or_non_finite_lr(lr):
     # a negative lr used to run gradient ascent

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,39 @@ def test_forward_matches_manual_matmul():
     manual_proj = h2 @ params.projection[1][0] + params.projection[1][1]
     assert np.max(np.abs(rep - manual_rep)) < 1e-12
     assert np.max(np.abs(proj - manual_proj)) < 1e-12
+
+
+def test_forward_in_row_blocks_is_bitwise_one_full_height_pass(monkeypatch):
+    # 257 = 2 * 128 + 1 would leave a one-row block, which numpy multiplies
+    # as a matrix-vector product with other rounding (2.8e-16 of the largest
+    # entry off here): the blocks are 85, 86 and 86 rows instead
+    rng = np.random.default_rng(61)
+    params = md.init_params(32, seed=2)
+    for _, b in params.encoder + params.projection:
+        b[:] = rng.normal(scale=0.1, size=b.shape)
+    for rows in (1, 5, 128, 256, 257, 320, 513):
+        x = rng.normal(size=(rows, 32))
+        results = []
+        for block in (128, 10**9):
+            monkeypatch.setattr(md, "FORWARD_BLOCK", block)
+            results.append(md.forward(params, x))
+        (rep, proj), (full_rep, full_proj) = results
+        assert np.array_equal(rep, full_rep) and np.array_equal(proj, full_proj), rows
+
+
+def test_forward_holds_the_outputs_and_one_block_of_activations():
+    rows = 20_000
+    params = md.init_params(32, seed=3)
+    x = np.random.default_rng(62).normal(size=(rows, 32))
+    outputs = rows * (128 + 64) * 8  # the representation and the projection: 29.3 MiB
+    tracemalloc.start()
+    try:
+        md.forward(params, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured 0.45 MiB over the outputs; a full-height pass holds 39 MiB more
+    assert peak < outputs + 2 * 2**20, peak - outputs
 
 
 def test_forward_dim_mismatch():
