@@ -146,7 +146,7 @@ def _own_image_columns(batch: ViewBatch) -> np.ndarray:
 
 def _select_groups(
     batch: ViewBatch, raw: np.ndarray, num_negatives: int, random_negatives: bool, preorder: bool, rng,
-    first: int = 0,
+    first: int = 0, own=None,
 ):
     """Columns of the positives (rows, m - 1) and negatives (rows, N) of
     the anchors first, first + 1, ... whose distance rows `raw` holds (by
@@ -155,10 +155,14 @@ def _select_groups(
     covers every negative takes the other images' columns whole, with no
     search; random negatives draw one uniform per (anchor, negative), row
     after row, so blocks of rows draw the stream of one call on all of
-    them. For the top-N negatives `raw` must be writable: each anchor's own
-    columns are masked in place and put back before this returns."""
+    them. `own` holds these anchors' rows of `_own_image_columns(batch)`,
+    which a caller walking blocks computes once; by default they are
+    computed here. For the top-N negatives `raw` must be writable: each
+    anchor's own columns are masked in place and put back before this
+    returns."""
     count = raw.shape[0]
-    own = _own_image_columns(batch)[first : first + count]
+    if own is None:
+        own = _own_image_columns(batch)[first : first + count]
     rows = np.arange(count)[:, None]
     pos = own[own != first + rows].reshape(count, -1)
     if random_negatives or num_negatives >= batch.num_views - batch.views_per_image:
@@ -240,10 +244,13 @@ def _selected_distances(
     width = num_positives + min(num_negatives, batch.num_views - batch.views_per_image)
     cols = np.empty((batch.num_views, width), dtype=np.intp)
     block = np.empty((batch.num_views, width))
+    own = _own_image_columns(batch)
     for rows in dg.row_blocks(batch.num_views, ROW_BLOCK):
         distances = unit[rows] @ unit_t
         np.negative(distances, out=distances)
-        pos, neg = _select_groups(batch, distances, num_negatives, random_negatives, preorder, rng, rows.start)
+        pos, neg = _select_groups(
+            batch, distances, num_negatives, random_negatives, preorder, rng, rows.start, own[rows]
+        )
         cols[rows, :num_positives] = pos
         cols[rows, num_positives:] = neg
         block[rows] = np.take_along_axis(distances, cols[rows], axis=1)

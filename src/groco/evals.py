@@ -32,15 +32,47 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains a non-finite value")
 
 
-def _unit_rows(x, what: str) -> np.ndarray:
+def _finite_rows(x, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
     _check_finite(arr, what)
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    return arr
+
+
+def _check_nonzero(norms: np.ndarray, what: str) -> None:
     if np.any(norms == 0.0):
         raise ValueError(f"{what} contains a zero-norm embedding")
+
+
+def _unit_rows(x, what: str) -> np.ndarray:
+    arr = _finite_rows(x, what)
+    norms = np.linalg.norm(arr, axis=1, keepdims=True)
+    _check_nonzero(norms, what)
     return arr / norms
+
+
+def _duplicate_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(copies, firsts): every row of `rows` that equals an earlier row
+    entry for entry, ascending, and the lowest index of the same row for
+    each. Only rows whose first entry occurs more than once are compared
+    whole, so rows without duplicates cost one sort of the first column;
+    the rows compared whole are copied for that comparison."""
+    by_first = np.argsort(rows[:, 0], kind="stable")
+    lead = rows[by_first, 0]
+    same = lead[1:] == lead[:-1]
+    shared = np.zeros(lead.size, dtype=bool)
+    shared[1:] |= same
+    shared[:-1] |= same
+    candidates = np.sort(by_first[shared])
+    if candidates.size == 0:
+        return candidates, candidates
+    # np.unique gives the first occurrence of each distinct row, and the
+    # candidates ascend, so that is the row's lowest index
+    _, first, inverse = np.unique(rows[candidates], axis=0, return_index=True, return_inverse=True)
+    firsts = candidates[first[inverse.reshape(-1)]]
+    copy = firsts != candidates
+    return candidates[copy], firsts[copy]
 
 
 def _knn_predictions(
@@ -48,17 +80,29 @@ def _knn_predictions(
 ) -> dict[int, np.ndarray]:
     """Predicted class of each query row for every k in `ks`; see
     `knn_predict` for the rules. Errors about the queries call them
-    `queries_name`, the caller's name for them. The queries are searched
-    in row blocks of about `_KNN_BLOCK_ENTRIES` similarities: each block
-    gets one similarity matmul, negated in place, and one stable top-k at
-    the largest k, whose indices and distances go to (Q, max k) arrays.
-    Nothing of size Q x N outlives a block. The votes then run on those
-    arrays for every k: a stable order's first k entries are the order at
-    k, so each smaller k reads a prefix of the same votes."""
+    `queries_name`, the caller's name for them.
+
+    The similarity of a unit query q^ and a train row t is (q^ . t) / |t|:
+    the train rows are read in place, never copied or written, and only
+    their norms are kept. The queries are searched in row blocks of about
+    `_KNN_BLOCK_ENTRIES` similarities: each block gets one matmul against
+    the train rows transposed (a view), turned into distances by one
+    in-place multiply by -1/|t| per column, and one stable top-k at the
+    largest k, whose indices and distances go to (Q, max k) arrays. So the
+    memory is one block plus Q x max k entries (and the unit queries);
+    nothing of size Q x N or of the train set's size is formed. A train row
+    that equals an earlier one entry for entry gets that row's column in
+    every block, since BLAS can round the last few columns of a product
+    differently from the rest, and an exact duplicate must tie with its
+    first copy. The votes then run on the (Q, max k) arrays for every k: a
+    stable order's first k entries are the order at k, so each smaller k
+    reads a prefix of the same votes."""
     if not (math.isfinite(weight_tau) and weight_tau > 0):
         raise ValueError(f"weight_tau must be finite and > 0, got {weight_tau}")
     train_labels = np.asarray(train_labels)
-    train = _unit_rows(train_embeds, "train_embeds")
+    train = _finite_rows(train_embeds, "train_embeds")
+    norms = np.sqrt(np.vecdot(train, train))  # row by row, no temporary of the train set's size
+    _check_nonzero(norms, "train_embeds")
     if train_labels.shape != (train.shape[0],):
         raise ValueError("train_labels must provide one label per embedding")
     if train.shape[0] < 1:
@@ -71,6 +115,8 @@ def _knn_predictions(
         raise ValueError("empty test set: no query embeddings")
     if queries.shape[1] != train.shape[1]:
         raise ValueError(f"query width {queries.shape[1]} differs from train width {train.shape[1]}")
+    scale = -1.0 / norms
+    copies, firsts = _duplicate_rows(train)
     count, kmax = queries.shape[0], max(ks)
     block = max(1, _KNN_BLOCK_ENTRIES // train.shape[0])
     buffer = np.empty((min(block, count), train.shape[0]))
@@ -80,7 +126,8 @@ def _knn_predictions(
         stop = min(start + block, count)
         distances = buffer[: stop - start]
         np.matmul(queries[start:stop], train.T, out=distances)
-        np.negative(distances, out=distances)
+        distances *= scale
+        distances[:, copies] = distances[:, firsts]
         nearest[start:stop] = batchpipe.select_top_negatives(distances, kmax)
         near_distances[start:stop] = np.take_along_axis(distances, nearest[start:stop], axis=1)
     classes, label_index = np.unique(train_labels, return_inverse=True)
@@ -99,9 +146,14 @@ def _knn_predictions(
 def knn_predict(train_embeds, train_labels, query, k: int, weight_tau: float = KNN_WEIGHT_TAU) -> int:
     """Weighted k-nearest-neighbor vote under cosine distance.
 
+    The similarity of the query q and train row t is (q / |q|) . t / |t|.
     Each of the k nearest training points votes exp(similarity / weight_tau)
     for its class, for a finite `weight_tau` > 0; neighbor ties break toward
-    the lower index and class-score ties toward the smaller class id.
+    the lower index and class-score ties toward the smaller class id. A
+    train row that equals an earlier one entry for entry has exactly that
+    row's similarity, so it always ranks after it. The train rows are read
+    in place: memory is one block of similarities plus queries x k entries,
+    with no copy of the train set.
     """
     k = dg.check_count(k, "k")
     return int(_knn_predictions(train_embeds, train_labels, query, (k,), weight_tau)[k][0])
