@@ -32,7 +32,6 @@ import numpy as np
 from . import diffgrad as dg
 from . import losses
 from .diffgrad import NumericError, Tensor
-from .losses import GroCoParams, InfoNCEParams, TripletParams
 
 __all__ = [
     "ViewBatch",
@@ -40,7 +39,6 @@ __all__ = [
     "batch_loss",
 ]
 
-LOSS_KINDS = ("groco", "infonce", "triplet")
 # Anchors per block of the distance stage and of its gradient. One GroCo
 # loss plus backward at A = 4,096 (N = 10, D = 64, one BLAS thread, 2-core
 # x86 VM) took 213 / 210 / 208 ms with a traced peak of 16.1 / 16.1 / 23.4
@@ -293,11 +291,11 @@ def batch_loss(
     checked, and it is capped at the negatives the batch holds. `preorder`
     applies to the group-ordering loss only.
     """
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss_kind {loss_kind!r}, expected one of {LOSS_KINDS}")
-    kind_params = {"groco": GroCoParams, "infonce": InfoNCEParams, "triplet": TripletParams}[loss_kind]
-    if not isinstance(params, kind_params):
-        raise ValueError(f"{loss_kind} loss requires {kind_params.__name__}")
+    if loss_kind not in losses.LOSS_KINDS:
+        raise ValueError(f"unknown loss_kind {loss_kind!r}, expected one of {tuple(losses.LOSS_KINDS)}")
+    params_class, loss_from_concat = losses.LOSS_KINDS[loss_kind]
+    if not isinstance(params, params_class):
+        raise ValueError(f"{loss_kind} loss requires {params_class.__name__}")
     if loss_kind == "infonce" and not infonce_top_n:
         num_negatives = batch.views_per_image * (batch.num_images - 1)
     num_negatives = dg.check_count(num_negatives, "num_negatives")
@@ -308,10 +306,6 @@ def batch_loss(
     preorder = preorder and loss_kind == "groco"
     block, _, _ = _selected_distances(batch, num_negatives, stop_grad, random_negatives, preorder, rng)
     num_positives = batch.views_per_image - 1
-    if loss_kind == "groco":
-        if preorder:
-            _check_preordered(block, num_positives)
-        return losses.group_loss_from_concat(block, num_positives, params.beta)
-    if loss_kind == "infonce":
-        return losses.infonce_from_concat(block, num_positives, params)
-    return losses.triplet_from_concat(block, num_positives, params)
+    if preorder:
+        _check_preordered(block, num_positives)
+    return loss_from_concat(block, num_positives, params)

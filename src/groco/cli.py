@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -66,48 +67,28 @@ def cmd_sort(args) -> int:
     return EXIT_OK
 
 
+def _from_flags(config_class, args, **renamed):
+    """`config_class` built from the parsed flags named as its fields, and
+    from `renamed` for the fields whose flags are named otherwise."""
+    flags = vars(args)
+    return config_class(**{f.name: flags[f.name] for f in fields(config_class) if f.name in flags}, **renamed)
+
+
 def _load_training_data(args) -> Dataset:
     if args.data is not None:
         return dataio.gvec_read(args.data)
     if args.synth:
-        cfg = SynthConfig(
-            clusters=args.clusters,
-            dim=args.dim,
-            per_cluster=args.per_cluster,
-            center_scale=args.center_scale,
-            inst_noise=args.inst_noise,
-            seed=args.seed,
-        )
-        return dataio.synth_generate(cfg)
+        return dataio.synth_generate(_from_flags(SynthConfig, args))
     raise ValueError("no training data: pass --data FILE.gvec or --synth")
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        views=args.views,
-        loss_kind=args.loss,
-        beta=args.beta,
-        num_negatives=args.neg,
-        infonce_tau=args.tau,
-        triplet_margin=float("inf") if args.margin == "inf" else float(args.margin),
-        stop_grad=args.stopgrad,
-        preorder=args.preorder,
-        random_negatives=args.random_negatives,
-        infonce_top_n=args.infonce_top_n,
-        lr=args.lr,
-        momentum=args.momentum,
-        warmup_epochs=args.warmup_epochs,
-        seed=args.seed,
-        view_noise=args.view_noise,
-    )
 
 
 def cmd_train(args) -> int:
     args.seed = _default_seed() if args.seed is None else args.seed
     dataset = _load_training_data(args)
-    config = _train_config(args)
+    config = _from_flags(
+        TrainConfig, args, loss_kind=args.loss, num_negatives=args.neg, infonce_tau=args.tau,
+        triplet_margin=args.margin, stop_grad=args.stopgrad,
+    )
     if args.dump_config:
         for key, value in sorted(config.as_flat_dict().items()):
             print(f"{key}={value}")
@@ -243,32 +224,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the encoder + projection head", formatter_class=fmt)
     p.add_argument("--data", default=None, help="GVEC dataset path")
     p.add_argument("--synth", action="store_true", help="generate the synthetic clustered dataset")
-    p.add_argument("--clusters", type=int, default=8, help="synthetic: number of clusters")
-    p.add_argument("--dim", type=int, default=32, help="synthetic: vector dimension")
-    p.add_argument("--per-cluster", type=int, default=200, help="synthetic: samples per cluster")
-    p.add_argument("--center-scale", type=float, default=4.0, help="synthetic: cluster center scale")
-    p.add_argument("--inst-noise", type=float, default=0.5, help="synthetic: instance noise sigma")
+    p.add_argument("--clusters", type=int, default=SynthConfig.clusters, help="synthetic: number of clusters")
+    p.add_argument("--dim", type=int, default=SynthConfig.dim, help="synthetic: vector dimension")
+    p.add_argument("--per-cluster", type=int, default=SynthConfig.per_cluster, help="synthetic: samples per cluster")
+    p.add_argument("--center-scale", type=float, default=SynthConfig.center_scale,
+                   help="synthetic: cluster center scale")
+    p.add_argument("--inst-noise", type=float, default=SynthConfig.inst_noise, help="synthetic: instance noise sigma")
     p.add_argument("--save-data", default=None, help="also write the dataset to this GVEC path")
-    p.add_argument("--epochs", type=int, default=20, help="training epochs")
-    p.add_argument("--batch-size", type=int, default=128, help="images per batch")
-    p.add_argument("--views", type=int, default=2, help="augmented views per image (>= 2)")
-    p.add_argument("--loss", choices=["groco", "infonce", "triplet"], default="groco", help="training loss")
-    p.add_argument("--beta", type=float, default=1.0, help="group-ordering inverse temperature (method default)")
-    p.add_argument("--neg", type=int, default=10, help="top-N strongest negatives kept (method default)")
-    p.add_argument("--tau", type=float, default=0.1, help="contrastive temperature")
-    p.add_argument("--margin", default="0.8", help="triplet margin, or 'inf' for the unbounded mode")
-    p.add_argument("--stopgrad", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="training epochs")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, help="images per batch")
+    p.add_argument("--views", type=int, default=TrainConfig.views, help="augmented views per image (>= 2)")
+    p.add_argument("--loss", choices=losses.LOSS_KINDS, default=TrainConfig.loss_kind, help="training loss")
+    p.add_argument("--beta", type=float, default=TrainConfig.beta,
+                   help="group-ordering inverse temperature (method default)")
+    p.add_argument("--neg", type=int, default=TrainConfig.num_negatives,
+                   help="top-N strongest negatives kept (method default)")
+    p.add_argument("--tau", type=float, default=TrainConfig.infonce_tau, help="contrastive temperature")
+    p.add_argument("--margin", type=float, default=TrainConfig.triplet_margin,
+                   help="triplet margin, or 'inf' for the unbounded mode")
+    p.add_argument("--stopgrad", action=argparse.BooleanOptionalAction, default=TrainConfig.stop_grad,
                    help="detach non-anchor projections in distances (method default: on)")
-    p.add_argument("--preorder", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--preorder", action=argparse.BooleanOptionalAction, default=TrainConfig.preorder,
                    help="sort groups ascending before the network (method default: on)")
-    p.add_argument("--random-negatives", action="store_true",
+    p.add_argument("--random-negatives", action="store_true", default=TrainConfig.random_negatives,
                    help="sample N random negatives instead of the strongest")
-    p.add_argument("--infonce-top-n", action="store_true",
+    p.add_argument("--infonce-top-n", action="store_true", default=TrainConfig.infonce_top_n,
                    help="restrict the contrastive loss to the top-N negatives")
-    p.add_argument("--lr", type=float, default=10.0, help="base learning rate (desk-scale default)")
-    p.add_argument("--momentum", type=float, default=0.9, help="SGD momentum")
-    p.add_argument("--warmup-epochs", type=int, default=1, help="linear warmup epochs (method default)")
-    p.add_argument("--view-noise", type=float, default=0.5, help="Gaussian view augmentation sigma")
+    p.add_argument("--lr", type=float, default=TrainConfig.lr, help="base learning rate (desk-scale default)")
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum, help="SGD momentum")
+    p.add_argument("--warmup-epochs", type=int, default=TrainConfig.warmup_epochs,
+                   help="linear warmup epochs (method default)")
+    p.add_argument("--view-noise", type=float, default=TrainConfig.view_noise, help="Gaussian view augmentation sigma")
     p.add_argument("--seed", type=int, default=None, help="run seed (default: GROCO_SEED env or 0)")
     p.add_argument("--ckpt", default="groco_model.ckpt", help="checkpoint output path")
     p.add_argument("--metrics", default="groco_metrics.csv", help="per-step metrics CSV path")

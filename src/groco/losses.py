@@ -8,12 +8,14 @@ scalar tensor recorded on the input tape, so gradients flow back to every
 distance).
 
 Each contrastive loss also takes the [positives | negatives] rows whole,
-with the positive count: `group_loss_from_concat`, `infonce_from_concat`
-and `triplet_from_concat`, which the batch pipeline calls on its selected
-block. The per-group forms join their groups with one `concat` and call the
-same code. On a tape, InfoNCE and triplet each record one op with a
-hand-written gradient, and the group-ordering loss two: the sorting
-network's border mass and the clamped binary cross-entropy.
+with the positive count and its settings: `group_loss_from_concat`,
+`infonce_from_concat` and `triplet_from_concat`, which the batch pipeline
+calls on its selected block. The per-group forms join their groups with
+one `concat` and call the same code. `LOSS_KINDS` is the one list of the
+loss kinds: each with its settings class and its row function. On a tape,
+InfoNCE and triplet each record one op with a hand-written gradient, and
+the group-ordering loss two: the sorting network's border mass and the
+clamped binary cross-entropy.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .sortcore import RelaxedPermutation, sigmoid_f
 
 __all__ = [
     "BCE_EPSILON",
+    "LOSS_KINDS",
     "GroCoParams",
     "InfoNCEParams",
     "TripletParams",
@@ -198,7 +201,7 @@ def _from_concat(loss, d, num_positives: int, setting: float):
     return _result(loss(d if isinstance(d, Tensor) else arr, k, setting))
 
 
-def group_loss_from_concat(d, num_positives: int, beta: float):
+def group_loss_from_concat(d, num_positives: int, params: GroCoParams):
     """Group-ordering loss over already concatenated distance lists whose
     first `num_positives` entries are the positive group.
 
@@ -208,7 +211,7 @@ def group_loss_from_concat(d, num_positives: int, beta: float):
     it, and without it the unordered groups go to the sorting network as
     they are.
     """
-    return _from_concat(_group_loss, d, num_positives, beta)
+    return _from_concat(_group_loss, d, num_positives, params.beta)
 
 
 def groco_loss(d_pos, d_neg, params: GroCoParams):
@@ -397,3 +400,11 @@ def triplet_loss(d_pos, d_neg, params: TripletParams):
     mode the raw differences are averaged without clipping."""
     pos, _ = _check_pair(d_pos, d_neg)
     return _result(_triplet(dg.concat([d_pos, d_neg]), pos.shape[-1], params.margin))
+
+
+# Each loss kind: its settings class and its [positives | negatives] row loss.
+LOSS_KINDS = {
+    "groco": (GroCoParams, group_loss_from_concat),
+    "infonce": (InfoNCEParams, infonce_from_concat),
+    "triplet": (TripletParams, triplet_from_concat),
+}

@@ -21,7 +21,7 @@ import numpy as np
 from . import batchpipe, dataio
 from . import diffgrad as dg
 from .dataio import Dataset
-from .losses import GroCoParams, InfoNCEParams, TripletParams
+from .losses import LOSS_KINDS, GroCoParams, InfoNCEParams, TripletParams
 
 __all__ = [
     "ModelParams",
@@ -295,16 +295,18 @@ def checkpoint_load(path) -> tuple[ModelParams, OptimizerState]:
 @dataclass
 class TrainConfig:
     """Full configuration of one training run; the seed fixes every random
-    draw (shuffling, view noise, weight init, negative sampling)."""
+    draw (shuffling, view noise, weight init, negative sampling). Every
+    field is checked when the config is built, the chosen loss kind's
+    setting included. Its defaults are `groco train`'s."""
 
     epochs: int = 20
     batch_size: int = 128
     views: int = 2
     loss_kind: str = "groco"
-    beta: float = 1.0
+    beta: float = GroCoParams.beta
     num_negatives: int = 10
-    infonce_tau: float = 0.1
-    triplet_margin: float = 0.8
+    infonce_tau: float = InfoNCEParams.tau
+    triplet_margin: float = TripletParams.margin
     stop_grad: bool = True
     preorder: bool = True
     random_negatives: bool = False
@@ -322,7 +324,7 @@ class TrainConfig:
             setattr(self, name, dg.check_count(getattr(self, name), name))
         if self.epochs < 1 or self.batch_size < 2 or self.views < 2:
             raise ValueError("need epochs >= 1, batch_size >= 2, views >= 2")
-        if self.loss_kind not in batchpipe.LOSS_KINDS:
+        if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
         if self.num_negatives < 1:
             raise ValueError(f"num_negatives must be >= 1, got {self.num_negatives}")
@@ -331,13 +333,18 @@ class TrainConfig:
         if self.warmup_epochs < 0 or self.warmup_epochs >= self.epochs:
             raise ValueError("need 0 <= warmup_epochs < epochs")
         dataio.check_view_noise(self.view_noise)
+        self.loss_params()
 
     def loss_params(self):
-        if self.loss_kind == "groco":
-            return GroCoParams(beta=self.beta)
-        if self.loss_kind == "infonce":
-            return InfoNCEParams(tau=self.infonce_tau)
-        return TripletParams(margin=self.triplet_margin)
+        """The settings object of the loss kind, from this config's field for
+        its settings class."""
+        params_class = LOSS_KINDS[self.loss_kind][0]
+        settings = {
+            GroCoParams: {"beta": self.beta},
+            InfoNCEParams: {"tau": self.infonce_tau},
+            TripletParams: {"margin": self.triplet_margin},
+        }
+        return params_class(**settings[params_class])
 
     def as_flat_dict(self) -> dict[str, object]:
         d = dict(self.__dict__)
@@ -425,14 +432,7 @@ def train(dataset: Dataset, config: TrainConfig, metrics_path=None) -> TrainResu
                     if not math.isfinite(loss_value):
                         raise TrainingDiverged(step, loss_value)
                     gmap = dg.backward(tape, loss)
-                    tensor_by_name = {}
-                    for i, (tw, tb) in enumerate(enc_t):
-                        tensor_by_name[f"enc.{i}.weight"] = tw
-                        tensor_by_name[f"enc.{i}.bias"] = tb
-                    for i, (tw, tb) in enumerate(proj_t):
-                        tensor_by_name[f"proj.{i}.weight"] = tw
-                        tensor_by_name[f"proj.{i}.bias"] = tb
-                    grads = {name: gmap.grad(tensor_by_name[name]) for name, _ in params.named_arrays()}
+                    grads = {name: gmap.grad(t) for name, t in ModelParams(enc_t, proj_t).named_arrays()}
                     sgd_step(params, grads, state, lr=lr)
                 step_losses.append(loss_value)
                 if metrics is not None:

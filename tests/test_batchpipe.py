@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -383,10 +384,27 @@ def test_triplet_batch_runs():
 def test_batch_loss_rejects_bad_kind_and_params():
     rng = np.random.default_rng(54)
     batch = _make_batch(rng, images=3, views=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+        "unknown loss_kind 'nonsense', expected one of ('groco', 'infonce', 'triplet')"
+    )):
         bp.batch_loss(batch, "nonsense", GroCoParams())
-    with pytest.raises(ValueError):
-        bp.batch_loss(batch, "groco", InfoNCEParams())
+    for kind, params, message in (
+        ("groco", InfoNCEParams(), "groco loss requires GroCoParams"),
+        ("infonce", TripletParams(), "infonce loss requires InfoNCEParams"),
+        ("triplet", GroCoParams(), "triplet loss requires TripletParams"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bp.batch_loss(batch, kind, params)
+
+
+@pytest.mark.parametrize("kind", ls.LOSS_KINDS)
+def test_every_loss_kind_runs_through_batch_loss(kind):
+    batch, tape, raw = _make_batch(np.random.default_rng(56), images=4, views=2, as_tensor=True)
+    params_class, _ = ls.LOSS_KINDS[kind]
+    loss = bp.batch_loss(batch, kind, params_class(), num_negatives=3)
+    assert np.isfinite(loss.data)
+    assert loss.data == bp.batch_loss(bp.ViewBatch(raw, batch.image_id, 2), kind, params_class(), num_negatives=3)
+    assert np.all(np.isfinite(dg.backward(tape, loss).grad(batch.projections)))
 
 
 def test_batch_loss_checks_only_the_negative_count_it_uses():
@@ -589,7 +607,7 @@ def _dense_chain_loss(batch, kind, params, count, stop_grad, preorder, rng):
     if kind == "groco":
         if preorder:
             return ls.groco_loss(d_pos, d_neg, params)
-        return ls.group_loss_from_concat(dg.concat([d_pos, d_neg]), pos.shape[1], params.beta)
+        return ls.group_loss_from_concat(dg.concat([d_pos, d_neg]), pos.shape[1], params)
     if kind == "infonce":
         return ls.infonce_loss(d_pos, d_neg, params)
     return ls.triplet_loss(d_pos, d_neg, params)

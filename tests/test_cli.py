@@ -130,6 +130,43 @@ def test_train_dump_config(tmp_path):
     assert any(line.startswith("seed=5") for line in lines)
 
 
+def test_train_dump_config_defaults_are_the_config_classes(tmp_path, monkeypatch, capsys):
+    # no tuning flag: every printed setting is a TrainConfig or SynthConfig default
+    import groco.model as md
+
+    monkeypatch.delenv("GROCO_SEED", raising=False)
+    rc = gcli.main(["train", "--synth", "--epochs", "2", "--dump-config",
+                    "--ckpt", str(tmp_path / "model.ckpt"), "--metrics", str(tmp_path / "metrics.csv")])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    data_line = next(i for i, line in enumerate(lines) if line.startswith("data="))
+    expect = [f"{key}={value}" for key, value in sorted(md.TrainConfig(epochs=2, seed=0).as_flat_dict().items())]
+    assert lines[:data_line] == expect
+    assert lines[data_line] == f"data={dio.synth_generate(dio.SynthConfig()).provenance}"
+
+
+def test_train_margin_parses_inf_and_rejects_text(tmp_path, capsys):
+    rc = gcli.main(_small_train_args(tmp_path, extra=["--loss", "triplet", "--margin", "inf", "--dump-config"]))
+    assert rc == 0
+    assert "triplet_margin=inf" in capsys.readouterr().out.splitlines()
+    assert gcli.main(_small_train_args(tmp_path, extra=["--margin", "abc"])) == 2
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--beta", "-1"], "beta must be a finite positive real"),
+    (["--loss", "triplet", "--margin", "nan"], "margin must be positive"),
+], ids=["beta", "margin"])
+def test_train_bad_loss_setting_is_rejected_before_any_file_is_touched(extra, message, tmp_path, capsys):
+    # used to delete the metrics file and write the dataset before exiting 2
+    (tmp_path / "metrics.csv").write_bytes(b"epoch,step,loss,lr\n0,0,1.0,0.0\n")
+    rc = gcli.main(_small_train_args(tmp_path, extra=extra))
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert (tmp_path / "metrics.csv").read_bytes() == b"epoch,step,loss,lr\n0,0,1.0,0.0\n"
+    assert not (tmp_path / "data.gvec").exists()
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_groco_seed_env_override(tmp_path):
     args = [
         "train", "--synth", "--clusters", "3", "--dim", "8", "--per-cluster", "16",

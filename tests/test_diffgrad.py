@@ -453,7 +453,7 @@ def _count_cases():
     toy = np.array([0.0, 0.5, -0.2])
     return [
         ("num_positives", lambda: sc.border_mass(rows, 2.9, 1.0)),
-        ("num_positives", lambda: ls.group_loss_from_concat(rows, 1.7, 1.0)),
+        ("num_positives", lambda: ls.group_loss_from_concat(rows, 1.7, GroCoParams(beta=1.0))),
         ("num_positives", lambda: ls.infonce_from_concat(rows, 1.7, InfoNCEParams())),
         ("num_positives", lambda: ls.triplet_from_concat(rows, 1.7, TripletParams())),
         ("num_positives", lambda: ls.groco_from_raw_distances(rows, 1.7, 1.0)),

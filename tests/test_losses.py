@@ -570,7 +570,7 @@ def test_groco_from_raw_distances_equals_manual_preorder():
 def test_group_loss_from_concat_accepts_unordered():
     # the pre-ordering ablation path: no ordering requirement, still finite
     x = np.array([0.4, -0.2, 0.3, -0.5])
-    val = ls.group_loss_from_concat(x, 2, 1.0)
+    val = ls.group_loss_from_concat(x, 2, GroCoParams(beta=1.0))
     assert np.isfinite(val) and val > 0
     expect = oracle_groco([0.4, -0.2], [0.3, -0.5], 1.0)
     assert abs(float(val) - expect) < 1e-12
@@ -586,7 +586,8 @@ def test_row_batches_equal_mean_of_row_losses():
         (lambda p, n: ls.infonce_loss(p, n, InfoNCEParams(tau=0.2)), d_pos, d_neg),
         (lambda p, n: ls.triplet_loss(p, n, TripletParams(margin=0.8)), d_pos, d_neg),
         (lambda p, n: ls.triplet_loss(p, n, TripletParams(margin=math.inf)), d_pos, d_neg),
-        (lambda p, n: ls.group_loss_from_concat(np.concatenate([p, n], axis=-1), 2, 1.5), raw[:, :2], raw[:, 2:]),
+        (lambda p, n: ls.group_loss_from_concat(np.concatenate([p, n], axis=-1), 2, GroCoParams(beta=1.5)),
+         raw[:, :2], raw[:, 2:]),
         (lambda p, n: ls.groco_from_raw_distances(np.concatenate([p, n], axis=-1), 2, 1.5), raw[:, :2], raw[:, 2:]),
     ]
     for loss, pos, neg in cases:

@@ -448,6 +448,17 @@ def test_train_config_validation():
             TrainConfig(loss_kind=kind, num_negatives=0)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"beta": -1}, "beta must be a finite positive real"),
+    ({"loss_kind": "infonce", "infonce_tau": 0}, "tau must be a finite positive real"),
+    ({"loss_kind": "triplet", "triplet_margin": math.nan}, "margin must be positive"),
+], ids=["groco-beta", "infonce-tau", "triplet-margin"])
+def test_train_config_checks_the_chosen_loss_setting(kw, message):
+    # used to pass here and fail only once `train` built the loss settings
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**kw)
+
+
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0])
 def test_train_config_rejects_non_finite_or_non_positive_lr(lr):
     # nan and inf used to pass and fail one step later
