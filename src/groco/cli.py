@@ -89,6 +89,7 @@ def cmd_train(args) -> int:
         TrainConfig, args, loss_kind=args.loss, num_negatives=args.neg, infonce_tau=args.tau,
         triplet_margin=args.margin, stop_grad=args.stopgrad,
     )
+    config.steps_per_epoch(dataset.count)  # a batch larger than the data exits 2 before any file is touched
     if args.dump_config:
         for key, value in sorted(config.as_flat_dict().items()):
             print(f"{key}={value}")

@@ -335,6 +335,13 @@ class TrainConfig:
         dataio.check_view_noise(self.view_noise)
         self.loss_params()
 
+    def steps_per_epoch(self, count: int) -> int:
+        """Full batches in one pass over `count` samples; raises ValueError
+        when not even one fits."""
+        if count < self.batch_size:
+            raise ValueError(f"dataset of {count} samples is smaller than one batch")
+        return count // self.batch_size
+
     def loss_params(self):
         """The settings object of the loss kind, from this config's field for
         its settings class."""
@@ -361,6 +368,38 @@ class TrainResult:
     steps_per_epoch: int = 0
 
 
+def _train_step(params, state, views, image_id, config, loss_params, lr, step, rng_negative) -> float:
+    """One SGD step on `views` (row i * views + v is view v of image i) on a
+    fresh tape; returns the step's loss. The tape, its activations and the
+    gradients are this function's locals, so they are freed when it
+    returns. Overflow and invalid values run on silently; the step's own
+    checks then name the failure (NumericError or TrainingDiverged)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        tape = dg.Tape()
+        enc_t = [(tape.variable(w), tape.variable(b)) for w, b in params.encoder]
+        proj_t = [(tape.variable(w), tape.variable(b)) for w, b in params.projection]
+        _, projections = _forward_core(enc_t, proj_t, views)
+        batch = batchpipe.ViewBatch(projections, image_id, config.views)
+        loss = batchpipe.batch_loss(
+            batch,
+            config.loss_kind,
+            loss_params,
+            num_negatives=config.num_negatives,
+            stop_grad=config.stop_grad,
+            preorder=config.preorder,
+            random_negatives=config.random_negatives,
+            infonce_top_n=config.infonce_top_n,
+            rng=rng_negative,
+        )
+        loss_value = float(loss.data)
+        if not math.isfinite(loss_value):
+            raise TrainingDiverged(step, loss_value)
+        gmap = dg.backward(tape, loss)
+        grads = {name: gmap.grad(t) for name, t in ModelParams(enc_t, proj_t).named_arrays()}
+        sgd_step(params, grads, state, lr=lr)
+    return loss_value
+
+
 def train(dataset: Dataset, config: TrainConfig, metrics_path=None) -> TrainResult:
     """Single-threaded training loop; bitwise reproducible for a fixed seed.
 
@@ -370,11 +409,14 @@ def train(dataset: Dataset, config: TrainConfig, metrics_path=None) -> TrainResu
     (with the step number) on a non-finite loss and `NumericError` (naming
     the view) on a non-finite projection; numpy's overflow and invalid-value
     warnings are silenced inside a step, so these are what a run sees.
+
+    Memory stays at one batch's size whatever the dataset's: the float32
+    rows are cast to float64 per batch, by `augment_view`, and one step's
+    tape, activations and gradients are freed when the step ends, before
+    its metrics row is written and before the next step records.
     """
-    count = dataset.vectors.shape[0]
-    if count < config.batch_size:
-        raise ValueError(f"dataset of {count} samples is smaller than one batch")
-    steps_per_epoch = count // config.batch_size
+    count = dataset.count
+    steps_per_epoch = config.steps_per_epoch(count)
     total_steps = config.epochs * steps_per_epoch
     warmup_steps = config.warmup_epochs * steps_per_epoch
     view_noise = dataio.check_view_noise(config.view_noise, dataset.dim)
@@ -394,8 +436,8 @@ def train(dataset: Dataset, config: TrainConfig, metrics_path=None) -> TrainResu
     rng_negative = np.random.default_rng(negative_seed)
 
     loss_params = config.loss_params()
-    vectors = dataset.vectors.astype(np.float64)
     m, bsz = config.views, config.batch_size
+    image_id = np.repeat(np.arange(bsz), m)
     step_losses: list[float] = []
     step = 0
     # one handle per run, closed also when a step raises
@@ -405,35 +447,9 @@ def train(dataset: Dataset, config: TrainConfig, metrics_path=None) -> TrainResu
             for batch_index in range(steps_per_epoch):
                 image_rows = order[batch_index * bsz : (batch_index + 1) * bsz]
                 # row i * m + v is view v of image i, drawn in that order
-                views = dataio.augment_view(np.repeat(vectors[image_rows], m, axis=0), view_noise, rng_augment)
-                image_id = np.repeat(np.arange(bsz), m)
-
+                views = dataio.augment_view(np.repeat(dataset.vectors[image_rows], m, axis=0), view_noise, rng_augment)
                 lr = cosine_warmup_lr(step, total_steps, warmup_steps, config.lr)
-                # overflow and invalid values run on silently; the step's own checks
-                # then name the failure (NumericError or TrainingDiverged)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    tape = dg.Tape()
-                    enc_t = [(tape.variable(w), tape.variable(b)) for w, b in params.encoder]
-                    proj_t = [(tape.variable(w), tape.variable(b)) for w, b in params.projection]
-                    _, projections = _forward_core(enc_t, proj_t, views)
-                    batch = batchpipe.ViewBatch(projections, image_id, m)
-                    loss = batchpipe.batch_loss(
-                        batch,
-                        config.loss_kind,
-                        loss_params,
-                        num_negatives=config.num_negatives,
-                        stop_grad=config.stop_grad,
-                        preorder=config.preorder,
-                        random_negatives=config.random_negatives,
-                        infonce_top_n=config.infonce_top_n,
-                        rng=rng_negative,
-                    )
-                    loss_value = float(loss.data)
-                    if not math.isfinite(loss_value):
-                        raise TrainingDiverged(step, loss_value)
-                    gmap = dg.backward(tape, loss)
-                    grads = {name: gmap.grad(t) for name, t in ModelParams(enc_t, proj_t).named_arrays()}
-                    sgd_step(params, grads, state, lr=lr)
+                loss_value = _train_step(params, state, views, image_id, config, loss_params, lr, step, rng_negative)
                 step_losses.append(loss_value)
                 if metrics is not None:
                     dataio.metrics_append(metrics, {"epoch": epoch, "step": step, "loss": loss_value, "lr": lr})

@@ -167,6 +167,17 @@ def test_train_bad_loss_setting_is_rejected_before_any_file_is_touched(extra, me
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_train_batch_larger_than_the_data_is_rejected_before_any_file_is_touched(tmp_path, capsys):
+    # used to write the dataset and delete the metrics file before exiting 2
+    (tmp_path / "metrics.csv").write_bytes(b"epoch,step,loss,lr\n0,0,1.0,0.0\n")
+    rc = gcli.main(_small_train_args(tmp_path, extra=["--batch-size", "64"]))  # 3 clusters x 16 = 48 samples
+    assert rc == 2
+    assert "dataset of 48 samples is smaller than one batch" in capsys.readouterr().err
+    assert (tmp_path / "metrics.csv").read_bytes() == b"epoch,step,loss,lr\n0,0,1.0,0.0\n"
+    assert not (tmp_path / "data.gvec").exists()
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_groco_seed_env_override(tmp_path):
     args = [
         "train", "--synth", "--clusters", "3", "--dim", "8", "--per-cluster", "16",
